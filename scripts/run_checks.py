@@ -34,7 +34,8 @@ def main() -> int:
         dt = time.monotonic() - t0
         status = "OK " if rep["ok"] else "FAIL"
         print(f"{status} entry {idx:2d} {name:32s} cases={rep['cases']:3d} "
-              f"sols={rep['solutions_checked']:8d} fails={rep['failures']:3d} {dt:7.2f}s")
+              f"sols={rep['solutions_checked']:8d} trunc={rep['truncated_cases']:3d} "
+              f"fails={rep['failures']:3d} {dt:7.2f}s")
         if not rep["ok"]:
             failures += rep["failures"]
             print(f"     first failure: {rep['first_failure']}")

@@ -7,11 +7,15 @@ padding, a value-threshold guard, constant add/sub/xor, and a first-match
 piecewise dispatch.  Evaluation is total: every node produces an output for
 every input value.
 
-Two evaluation paths are provided.  ``Circuit.eval`` maps one BitString to
-one BitString.  ``apply_many`` maps a numpy array of input values to an array
-of output values and is what makes exhaustive solving affordable; it only
-evaluates piecewise branches on the inputs they are selected for, so partial
-decoders stay safe inside guarded constructions.
+Nodes are evaluated as a tree, by one of two interpreters.  ``apply_many``
+maps a numpy array of input values to an array of output values and is what
+makes exhaustive solving affordable; it only evaluates piecewise branches on
+the inputs they are selected for, so partial decoders stay safe inside
+guarded constructions.  ``eval_all`` runs it once over every input value and
+caches the result on the circuit as one read-only int64 array (32 MB at
+in_width 22).  ``Circuit.eval`` and ``Circuit.value_at`` map one input to one
+output: they index that table when the circuit has one, and otherwise run
+the scalar interpreter ``_eval_value`` with a per-circuit memo.
 
 Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
 header followed by one node.  Leaf content lines (table rows, netlist gates)
@@ -43,17 +47,23 @@ class Circuit:
 
     in_width: int
     out_width: int
+    _table: np.ndarray | None = None  # set by eval_all
 
     def eval(self, x: BitString) -> BitString:
         if x.width != self.in_width:
             raise DomainError(f"input width {x.width}, circuit expects {self.in_width}")
+        return BitString(self.out_width, self.value_at(x.value))
+
+    def value_at(self, v: int) -> int:
+        """Output value for the input value v, 0 <= v < 2**in_width."""
+        if self._table is not None:
+            return int(self._table[v])
         # point evaluations repeat heavily during verification; memoize by value
         memo = self.__dict__.setdefault("_eval_memo", {})
-        got = memo.get(x.value)
+        got = memo.get(v)
         if got is None:
-            got = self._eval_value(x.value)
-            memo[x.value] = got
-        return bits_of(got, self.out_width)
+            got = memo[v] = self._eval_value(v)
+        return got
 
     def _eval_value(self, v: int) -> int:
         raise NotImplementedError
@@ -86,10 +96,18 @@ def apply_many(c: Circuit, xs: np.ndarray) -> np.ndarray:
 
 
 def eval_all(c: Circuit) -> np.ndarray:
-    """Outputs of c on every input value 0 .. 2**in_width - 1, in order."""
-    if c.in_width > 22:
-        raise DomainError(f"eval_all capped at in_width 22, got {c.in_width}")
-    return apply_many(c, np.arange(1 << c.in_width, dtype=np.int64))
+    """Outputs of c on every input value 0 .. 2**in_width - 1, in order.
+
+    The table is computed once and kept on the circuit as a read-only array;
+    later calls return that same array and point evaluations index it.
+    """
+    if c._table is None:
+        if c.in_width > 22:
+            raise DomainError(f"eval_all capped at in_width 22, got {c.in_width}")
+        table = apply_many(c, np.arange(1 << c.in_width, dtype=np.int64))
+        table.flags.writeable = False
+        c._table = table
+    return c._table
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +681,24 @@ def shrink_chain_pullback(
     cprime(u1) = cprime(u2) by replaying the stages and taking the first one
     whose outputs coincide."""
     m = cprime.in_width
+    if x1.width != w_in or x2.width != w_in:
+        raise DomainError(f"pull-back inputs must have width {w_in}")
     if x1 == x2:
         raise DomainError("pull-back needs distinct inputs")
-    a, b = x1, x2
+    a, b = x1.value, x2.value
     for w in range(w_in, w_out, -1):
-        u1, v1 = a[:m], a[m:]
-        u2, v2 = b[:m], b[m:]
-        y1 = cprime.eval(u1).concat(v1)
-        y2 = cprime.eval(u2).concat(v2)
+        # stage input u || v with u the first m bits; output cprime(u) || v
+        rest = w - m
+        keep = (1 << rest) - 1
+        u1, u2 = a >> rest, b >> rest
+        y1 = (cprime.value_at(u1) << rest) | (a & keep)
+        y2 = (cprime.value_at(u2) << rest) | (b & keep)
         if y1 == y2:
+            # u1 == u2 would make a == b; distinct inputs stay distinct until
+            # a stage collides, so this only guards the replay itself
             if u1 == u2:
                 raise DomainError("inputs merge without a stage collision")
-            return u1, u2
+            return BitString(m, u1), BitString(m, u2)
         a, b = y1, y2
     raise DomainError("chain outputs never met: not a genuine collision")
 
@@ -747,10 +771,19 @@ _NODE_WORDS = {
 }
 
 
+# Deepest nesting the parser accepts.  The deepest circuit that a registry
+# entry builds within solvers.WIDTH_CAP has 18 levels (entry 17 at m=5, a
+# 15-stage shrink chain inside a piecewise); the cap leaves room for chained
+# reductions and keeps the recursive parser and evaluators far from Python's
+# recursion limit.
+MAX_PARSE_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, lines: list[tuple[int, int, str]]):
         self.lines = lines  # (lineno, indent, text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -772,8 +805,11 @@ class _Parser:
         word = text.split()[0]
         if word not in _NODE_WORDS:
             raise ParseError(f"unknown node {word!r}", lineno)
+        if self.depth >= MAX_PARSE_DEPTH:
+            raise ParseError(f"circuit nested deeper than {MAX_PARSE_DEPTH} levels", lineno)
         self.take()
         attrs = _parse_attrs(text, lineno)
+        self.depth += 1
         try:
             return self._build(word, attrs, indent, lineno, default_in, default_out)
         except ParseError:
@@ -782,6 +818,8 @@ class _Parser:
             raise ParseError(str(e), lineno) from e
         except KeyError as e:
             raise ParseError(f"missing or unknown attribute {e}", lineno) from e
+        finally:
+            self.depth -= 1
 
     def _build(self, word, attrs, indent, lineno, default_in, default_out):
         kid = indent + 2

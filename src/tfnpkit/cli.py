@@ -275,7 +275,8 @@ def _cmd_check(args) -> int:
         status = "pass" if ok else "FAIL"
         print(
             f"entry {idx:2d} {name:32s} {status}  cases={rep['cases']} "
-            f"solutions={rep['solutions_checked']} failures={rep['failures']}"
+            f"solutions={rep['solutions_checked']} truncated={rep['truncated_cases']} "
+            f"failures={rep['failures']}"
         )
         if not ok:
             print(f"  first failure: {rep['first_failure']}")

@@ -67,10 +67,11 @@ class BitString:
 
     def __getitem__(self, key) -> "BitString":
         if isinstance(key, slice):
-            idx = range(self.width)[key]
-            if idx.step != 1:
+            start, stop, step = key.indices(self.width)
+            if step != 1:
                 raise DomainError("only contiguous slices are supported")
-            return BitString.from_bits(self.bit(i) for i in idx)
+            w = max(stop - start, 0)
+            return BitString(w, (self.value >> (self.width - start - w)) & ((1 << w) - 1))
         return BitString(1, self.bit(key))
 
     def concat(self, other: "BitString") -> "BitString":

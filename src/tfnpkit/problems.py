@@ -10,6 +10,7 @@ verbatim, including every threshold side condition, and reports either
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -156,6 +157,11 @@ class ProblemInstance:
     @property
     def in_width(self) -> int:
         return self.circuit.in_width
+
+    @cached_property
+    def wellformed_verdict(self) -> "Verdict":
+        """``wellformed(self)``, computed once: the instance is frozen."""
+        return wellformed(self)
 
 
 @dataclass(frozen=True)
@@ -360,8 +366,9 @@ class _Clauses:
     def out(self, x: BitString) -> BitString:
         return self.c.eval(x)
 
-    def color(self, u: BitString, v: BitString) -> BitString:
-        return self.c.eval(u.concat(v))
+    def color(self, u: BitString, v: BitString) -> int:
+        """Color value of the edge (u, v): the circuit on u || v."""
+        return self.c.value_at((u.value << v.width) | v.value)
 
     def edge(self, i: BitString) -> tuple[BitString, BitString]:
         return _edge_halves(self.c.eval(i), self.n)
@@ -529,7 +536,7 @@ def _check_clause(ctx: _Clauses, sol: Solution) -> Optional[str]:
         if ctx.color(y, z) != ctx.color(y2, z2):
             return "third edge colors differ"
         if name == "ws_colorful":
-            profile = {ctx.color(x, y).value, ctx.color(x, z).value, ctx.color(y, z).value}
+            profile = {ctx.color(x, y), ctx.color(x, z), ctx.color(y, z)}
             if len(profile) != 3:
                 return "first triangle is not trichromatic"
         return None
@@ -611,7 +618,7 @@ def _check_clause(ctx: _Clauses, sol: Solution) -> Optional[str]:
 
 
 def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
-    wf = wellformed(inst)
+    wf = inst.wellformed_verdict
     if not wf:
         return wf
     try:

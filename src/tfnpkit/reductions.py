@@ -56,7 +56,6 @@ from .problems import (
     make_solution,
     star_tree,
     verify,
-    wellformed,
 )
 
 __all__ = [
@@ -94,7 +93,7 @@ def apply(red: Reduction, inst: ProblemInstance) -> ProblemInstance:
         raise DomainError(f"{red.name} expects source {red.source}, got {inst.pid}")
     if inst.n != red.source_n:
         raise DomainError(f"{red.name} is built for source size {red.source_n}, got {inst.n}")
-    wf = wellformed(inst)
+    wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"source instance is malformed: {wf.reason}")
     out = red.transform(inst)
@@ -276,7 +275,7 @@ def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
         c = inst.circuit
 
         def low_map(v: int) -> int:
-            return c.eval(BitString(m, v)).value if v < (1 << m) else v
+            return c.value_at(v) if v < (1 << m) else v
 
         if sol.tag == "iv":
             x = sol.get("x")
@@ -444,7 +443,7 @@ def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
         c = inst.circuit
 
         def low_map(v: int) -> int:
-            return c.eval(BitString(m, v)).value if v < (1 << m) else v
+            return c.value_at(v) if v < (1 << m) else v
 
         if sol.tag == "iv":
             x = sol.get("x")
@@ -773,7 +772,7 @@ def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
         c = inst.circuit
 
         def guarded_val(v: int) -> int:
-            return c.eval(BitString(m, v)).value if v < (1 << m) else v
+            return c.value_at(v) if v < (1 << m) else v
 
         if sol.tag == "iii":
             x = sol.get("x")
@@ -1059,8 +1058,8 @@ def _case5_collision(src: ProblemId, col, a: BitString, b: BitString, c: BitStri
 def _colorings(inst: ProblemInstance):
     c = inst.circuit
 
-    def col(u: BitString, v: BitString) -> BitString:
-        return c.eval(u.concat(v))
+    def col(u: BitString, v: BitString) -> int:
+        return c.value_at((u.value << v.width) | v.value)
 
     return col
 
@@ -1084,7 +1083,7 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
         vc = 3 << (w - 3)
         pred4 = Compose(_and2(), fanout([
             Compose(eq_halves(2 * n), fanout([colxb, colxc])),
-            Compose(eq_const(n, col(b, c).value), colxb),
+            Compose(eq_const(n, col(b, c)), colxb),
         ]))
         branch4 = Compose(prepend_const(n, BitString(n, (1 << (n - 1)) - 1)), colxa)
         branch5 = Compose(
@@ -1139,7 +1138,7 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
     def special_colors(inst: ProblemInstance) -> list[int]:
         a, b, c = inst.abc
         col = _colorings(inst)
-        return [col(a, b).value, col(a, c).value, col(b, c).value]
+        return [col(a, b), col(a, c), col(b, c)]
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         a, b, c = inst.abc
@@ -1159,7 +1158,7 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
         col_bc = _colorings(inst)(b, c)
         pred4 = Compose(_and2(), fanout([
             Compose(eq_halves(2 * n), fanout([colxb, colxc])),
-            Compose(eq_const(n, col_bc.value), colxb),
+            Compose(eq_const(n, col_bc), colxb),
         ]))
         branch4 = Compose(
             ConstOp("add", BitString(w, tgt_k + 3)),

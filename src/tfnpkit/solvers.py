@@ -34,7 +34,6 @@ from .problems import (
     make_solution,
     solution_order_key,
     star_tree,
-    wellformed,
 )
 from .reductions import (
     apply as apply_reduction,
@@ -73,10 +72,6 @@ class SolveBudget:
             raise DomainError(f"width cap {self.max_in_width} exceeds the hard limit {WIDTH_CAP}")
         if self.parallelism < 1:
             raise DomainError("parallelism must be at least 1")
-
-
-def _outputs(inst: ProblemInstance) -> np.ndarray:
-    return eval_all(inst.circuit)
 
 
 def _bs(width: int, value: int) -> BitString:
@@ -137,7 +132,7 @@ def _enum_tag(inst: ProblemInstance, tag: str, lo: int, hi: int) -> Iterator[Sol
     pid, n = inst.pid, inst.n
     name = pid.name
     w = inst.circuit.in_width
-    outs = _outputs(inst)
+    outs = eval_all(inst.circuit)
     size = 1 << w
 
     def sol(*values: int) -> Solution:
@@ -480,7 +475,7 @@ def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget
     sorted-index form; every other type is enumerated exhaustively up to the
     per-type cap.
     """
-    wf = wellformed(inst)
+    wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"instance is malformed: {wf.reason}")
     w = inst.circuit.in_width
@@ -509,7 +504,7 @@ def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     Deterministic for any parallelism degree: chunks of the first-witness
     range are scanned independently and reduced by the canonical order.
     """
-    wf = wellformed(inst)
+    wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"instance is malformed: {wf.reason}")
     w = inst.circuit.in_width
@@ -625,6 +620,10 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     Default budget: exhaustive enumeration when the target input width is at
     most 12, except that six-witness ws solutions are capped (their count
     grows quadratically in the triple count); wider targets cap every type.
+
+    The report counts the cases run, the target solutions pulled back, the
+    cases whose enumeration hit the per-type cap (``truncated_cases``) and
+    the failures, with the first failure's message.
     """
     index = None
     if isinstance(name_or_index, int):
@@ -648,11 +647,16 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
             budget = SolveBudget(max_per_type=None)
     forbidden = FORBIDDEN_TARGET_TAGS.get(index, ())
 
-    cases = designed_instances(red.source, red.source_n)
-    case_kinds = ["designed"] * len(cases)
-    for t in range(trials):
-        cases.append(fuzz_instance(red.source, red.source_n, seed + t))
-        case_kinds.append(f"seed={seed + t}")
+    designed = designed_instances(red.source, red.source_n)
+
+    def cases() -> Iterator[tuple[str, ProblemInstance]]:
+        # generated one at a time: an instance's eval_all table lives on its
+        # circuit, and the identity entries share that circuit with the source
+        for inst in designed:
+            yield "designed", inst
+        for t in range(trials):
+            yield f"seed={seed + t}", fuzz_instance(red.source, red.source_n, seed + t)
+
     # constant circuits collide everywhere; cap their enumeration regardless
     designed_budget = budget
     if budget.max_per_type is None or budget.max_per_type > 2000:
@@ -661,6 +665,7 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
 
     checked = 0
     failures = 0
+    truncated_cases = 0
     first_failure = None
 
     def fail(kind: str, msg: str):
@@ -669,21 +674,23 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
         if first_failure is None:
             first_failure = f"[{kind}] {msg}"
 
-    for kind, inst in zip(case_kinds, cases):
+    for kind, inst in cases():
         try:
             tgt = apply_reduction(red, inst)
         except Exception as exc:
             fail(kind, f"apply failed: {exc}")
             continue
-        wf = wellformed(tgt)
+        wf = tgt.wellformed_verdict
         if not wf:
             fail(kind, f"target malformed: {wf.reason}")
             continue
         try:
-            sols, _ = enumerate_solutions(tgt, budget if kind != "designed" else designed_budget)
+            sols, truncated = enumerate_solutions(
+                tgt, budget if kind != "designed" else designed_budget)
         except Exception as exc:
             fail(kind, f"target enumeration failed: {exc}")
             continue
+        truncated_cases += truncated
         if not sols:
             fail(kind, "target instance has no solutions at all")
             continue
@@ -701,8 +708,9 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
         "entry": index,
         "name": red.name,
         "trials": trials,
-        "cases": len(cases),
+        "cases": len(designed) + trials,
         "solutions_checked": checked,
+        "truncated_cases": truncated_cases,
         "failures": failures,
         "first_failure": first_failure,
         "purity_tags": forbidden,

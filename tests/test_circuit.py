@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfnpkit.circuit import (
+    Builtin,
     Case,
     Compose,
     ConstOp,
@@ -189,14 +190,65 @@ def test_shrink_chain_pullback_finds_first_stage_collision():
     assert cprime.eval(u1) == cprime.eval(u2)
 
 
-@given(st.integers(1, 6), st.data())
+def test_shrink_chain_pullback_rejects_non_collisions():
+    cprime = Table(3, 2, [v >> 1 for v in range(8)])
+    with pytest.raises(DomainError, match="distinct"):
+        shrink_chain_pullback(cprime, 6, 2, B("101101"), B("101101"))
+    # first bits differ in the last place only: stage one collides
+    assert shrink_chain_pullback(cprime, 6, 2, B("100000"), B("101000")) == (B("100"), B("101"))
+    # inputs differing in a bit that every stage passes through never meet
+    with pytest.raises(DomainError, match="never met"):
+        shrink_chain_pullback(cprime, 4, 3, B("0000"), B("0001"))
+    with pytest.raises(DomainError, match="width"):
+        shrink_chain_pullback(cprime, 6, 2, B("10110"), B("101101"))
+
+
+@given(st.integers(1, 3), st.data())
 @settings(max_examples=30, deadline=None)
-def test_apply_many_agrees_with_pointwise(w, data):
-    rows = data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1 << w, max_size=1 << w))
-    c = Compose(ConstOp("xor", BitString(w, (1 << w) - 1)), Table(w, w, rows))
-    assert list(eval_all(c)) == brute(c)
-    xs = np.array([0, (1 << w) - 1, 1 % (1 << w)], dtype=np.int64)
-    assert list(apply_many(c, xs)) == [brute(c)[v] for v in xs]
+def test_apply_many_agrees_with_pointwise(h, data):
+    w = 2 * h
+    top = 1 << w
+    rows = data.draw(st.lists(st.integers(0, top - 1), min_size=top, max_size=top))
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, top), min_size=2, max_size=2)))
+    c = data.draw(st.integers(0, top - 1))
+    t = Table(w, w, rows)
+    blk = Builtin("chain_rep", n=h)
+    circuits = [
+        t,
+        le_halves(w),
+        blk,
+        Compose(blk, t),
+        Parallel(t, not_all(1)),
+        Slice(t, 1, w),
+        PadLeft(t, 2),
+        GuardPrefix(t, data.draw(st.integers(0, top))),
+        ConstOp("add", BitString(w, c)),
+        ConstOp("sub", BitString(w, c)),
+        ConstOp("xor", BitString(w, c)),
+        Piecewise((
+            Case(Compose(ConstOp("xor", BitString(w, c)), t), lo=lo, hi=hi),
+            Case(blk, pred=eq_halves(w)),
+            Case(t, lo=0, hi=top),
+        )),
+    ]
+    for circ in circuits:
+        # the scalar interpreter is the reference; it never reads a table
+        assert circ._table is None
+        want = [circ._eval_value(v) for v in range(1 << circ.in_width)]
+        assert list(eval_all(circ)) == want
+        xs = np.array([0, (1 << circ.in_width) - 1, 1], dtype=np.int64)
+        assert list(apply_many(circ, xs)) == [want[v] for v in xs]
+        assert brute(circ) == want
+
+
+def test_eval_all_table_is_cached_and_read_only():
+    c = Compose(not_all(3), Table(3, 3, [5, 0, 7, 2, 1, 1, 3, 6]))
+    table = eval_all(c)
+    assert eval_all(c) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+    assert [c.eval(BitString(3, v)).value for v in range(8)] == list(table)
 
 
 def test_serialization_round_trip():

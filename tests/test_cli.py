@@ -230,3 +230,18 @@ def test_installed_entry_point_matches():
         capture_output=True, text=True,
     )
     assert got.returncode == 0 and got.stdout.strip() == "000"
+
+
+def test_deeply_nested_circuit_is_a_parse_error(capsys, tmp_path):
+    depth = 1200
+    lines = ["PROBLEM pigeon", "PARAM n=1", "CIRCUIT in=1 out=1"]
+    for level in range(depth):
+        pad = "  " * level
+        lines += [pad + "COMPOSE", pad + "  XORC c=0"]
+    lines.append("  " * depth + "XORC c=1")
+    inst = tmp_path / "deep.txt"
+    inst.write_text("\n".join(lines) + "\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("SOLUTION type=i\nWITNESS x=1\n")
+    code, _, err = run(capsys, "verify", "--inst", str(inst), "--sol", str(sol))
+    assert code == 2 and "nested deeper" in err

@@ -40,6 +40,19 @@ def test_slice_is_contiguous_left_based():
     assert str(b[1:1]) == ""
     with pytest.raises(DomainError):
         b[::2]
+    with pytest.raises(DomainError):
+        b[::-1]
+
+
+def test_slice_matches_bitwise_reference():
+    for width in range(11):
+        for value in {0, (1 << width) - 1, 0b1011001110 % (1 << width)}:
+            b = BitString(width, value)
+            bounds = [None] + list(range(-width - 2, width + 3))
+            for start in bounds:
+                for stop in bounds:
+                    want = BitString.from_bits(b.bits()[start:stop])
+                    assert b[start:stop] == want, (b, start, stop)
 
 
 def test_concat_weight_complement():

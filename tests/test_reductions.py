@@ -2,8 +2,10 @@
 pull-back plumbing.  The heavy exhaustive sweep lives in the acceptance suite;
 here each entry gets a few seeds so failures localize quickly."""
 
+import numpy as np
 import pytest
 
+from tfnpkit.circuit import eval_all
 from tfnpkit.errors import DomainError
 from tfnpkit.numerics import bits_of
 from tfnpkit.problems import (
@@ -29,7 +31,9 @@ from tfnpkit.solvers import (
     FORBIDDEN_TARGET_TAGS,
     SolveBudget,
     brute_force_solve,
+    designed_instances,
     enumerate_solutions,
+    fuzz_instance,
     fuzz_soundness,
 )
 
@@ -63,6 +67,24 @@ def test_entry_soundness_fuzz(idx):
     assert report["failures"] == 0
     assert report["solutions_checked"] > 0
     assert report["purity_tags"] == FORBIDDEN_TARGET_TAGS.get(idx, ())
+
+
+@pytest.mark.parametrize("idx", range(1, 28))
+def test_target_table_agrees_with_scalar_interpreter(idx):
+    """eval_all's vector interpreter against the scalar one on real targets:
+    every point up to 12 input bits, a fixed 4096-point sample beyond."""
+    red = build_entry(idx)
+    sources = designed_instances(red.source, red.source_n)
+    sources.append(fuzz_instance(red.source, red.source_n, 0))
+    for inst in sources:
+        circ = apply(red, inst).circuit
+        w = circ.in_width
+        if w <= 12:
+            points = np.arange(1 << w)
+        else:
+            points = np.random.Generator(np.random.PCG64(idx)).integers(0, 1 << w, size=4096)
+        want = [circ._eval_value(int(v)) for v in points]
+        assert eval_all(circ)[points].tolist() == want
 
 
 def test_apply_is_deterministic_and_wellformed():
@@ -139,3 +161,11 @@ def test_fuzz_report_flags_planted_failure():
     sol = brute_force_solve(tgt)
     with pytest.raises(Exception):
         pullback(bad, inst, sol)
+
+
+def test_fuzz_report_counts_truncated_cases():
+    full = fuzz_soundness(1, trials=2, seed=0)
+    assert full["truncated_cases"] == 0
+    capped = fuzz_soundness(1, trials=2, seed=0, budget=SolveBudget(max_per_type=1))
+    assert capped["truncated_cases"] == capped["cases"] == full["cases"]
+    assert capped["solutions_checked"] < full["solutions_checked"]
