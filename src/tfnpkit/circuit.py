@@ -15,7 +15,10 @@ guarded constructions.  ``eval_all`` runs it once over every input value and
 caches the result on the circuit as one read-only int64 array (32 MB at
 in_width 22).  ``Circuit.eval`` and ``Circuit.value_at`` map one input to one
 output: they index that table when the circuit has one, and otherwise run
-the scalar interpreter ``_eval_value`` with a per-circuit memo.
+the scalar interpreter ``_eval_value`` with a per-circuit memo.  A
+``GateNet`` evaluates on bit-planes: one uint8 array per gate (4 MB at
+in_width 22 rather than 32 MB), with inputs and outputs held in the narrowest
+unsigned dtype until the int64 result is formed.
 
 Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
 header followed by one node.  Leaf content lines (table rows, netlist gates)
@@ -205,25 +208,31 @@ class GateNet(Circuit):
         return out
 
     def _apply_many(self, xs):
+        # one uint8 bit-plane per gate, and inputs and outputs in the narrowest
+        # unsigned dtype that holds them: at in_width 22 a gate takes 4 MB
         w = self.in_width
+        one = np.uint8(1)
+        xu = xs.astype(np.min_scalar_type((1 << w) - 1))
+        shift = xu.dtype.type
         vals: list[np.ndarray] = []
         for g in self.gates:
             if g.op == "INPUT":
-                vals.append((xs >> np.int64(w - 1 - g.a)) & np.int64(1))
+                vals.append((xu >> shift(w - 1 - g.a)).astype(np.uint8) & one)
             elif g.op == "CONST":
-                vals.append(np.full_like(xs, g.a))
+                vals.append(np.full(xs.shape, g.a, dtype=np.uint8))
             elif g.op == "NOT":
-                vals.append(np.int64(1) - vals[g.a])
+                vals.append(vals[g.a] ^ one)
             elif g.op == "AND":
                 vals.append(vals[g.a] & vals[g.b])
             elif g.op == "OR":
                 vals.append(vals[g.a] | vals[g.b])
             else:
                 vals.append(vals[g.a] ^ vals[g.b])
-        out = np.zeros_like(xs)
+        out = np.zeros(xs.shape, dtype=np.min_scalar_type((1 << self.out_width) - 1))
         for o in self.outputs:
-            out = (out << np.int64(1)) | vals[o]
-        return out
+            out <<= 1
+            out |= vals[o]
+        return out.astype(np.int64)
 
 
 # Builtin blocks are registered by the encodings module at import time.
@@ -694,10 +703,7 @@ def shrink_chain_pullback(
         y1 = (cprime.value_at(u1) << rest) | (a & keep)
         y2 = (cprime.value_at(u2) << rest) | (b & keep)
         if y1 == y2:
-            # u1 == u2 would make a == b; distinct inputs stay distinct until
-            # a stage collides, so this only guards the replay itself
-            if u1 == u2:
-                raise DomainError("inputs merge without a stage collision")
+            # equal outputs share their low bits, so u1 == u2 would mean a == b
             return BitString(m, u1), BitString(m, u2)
         a, b = y1, y2
     raise DomainError("chain outputs never met: not a genuine collision")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -232,12 +233,8 @@ def _enum_tag(inst: ProblemInstance, tag: str, lo: int, hi: int) -> Iterator[Sol
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape, dtype=np.int64)
-    v = a.copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
+    """Set bits per element of a non-negative integer array."""
+    return np.bitwise_count(a)
 
 
 def _canonical_blocks(k: int, n: int) -> np.ndarray:
@@ -396,7 +393,7 @@ def _enum_graph(inst: ProblemInstance, outs: np.ndarray, tag: str,
 
     if tag == clique_tag and name in ("weak_mantel", "mantel", "weak_turan", "turan"):
         r_here = 2 if name in ("weak_mantel", "mantel") else r
-        yield from _clique_solutions(pid, w, e_u, e_v, in_range, r_here, lo, hi)
+        yield from _clique_solutions(pid, w, n, e_u, e_v, in_range, r_here, lo, hi)
         return
 
     if tag == decreasing_tag:
@@ -418,49 +415,111 @@ def _enum_graph(inst: ProblemInstance, outs: np.ndarray, tag: str,
     raise DomainError(f"{name} has no solution type {tag!r}")
 
 
-def _clique_solutions(pid: ProblemId, w: int, e_u: np.ndarray, e_v: np.ndarray,
+def _clique_solutions(pid: ProblemId, w: int, n: int, e_u: np.ndarray, e_v: np.ndarray,
                       in_range: np.ndarray, r: int, lo: int, hi: int) -> Iterator[Solution]:
-    """Index tuples whose edges form a clique on r+1 vertices.
+    """Index tuples whose edges form a clique on r+1 vertices, lazily and in
+    ascending lexicographic order, first index in [lo, hi).
 
-    Each clique is reported once per choice of covering indices, with the
-    index tuple sorted ascending; permuted duplicates are skipped since the
-    sorted tuple is the canonical minimum among them.
+    Each clique is reported once per choice of covering indices, as the
+    sorted index tuple (the canonical minimum among its permutations).  The
+    search is depth first over the tuple: with i_1 < ... < i_d chosen, the
+    next index is taken ascending from the merged index lists of the pairs
+    that can still complete a K_{r+1} around the chosen vertices, and no
+    later than the last index of any pair still owed.  Edges whose endpoints
+    have fewer than r-1 common neighbours lie in no K_{r+1} and are dropped
+    first, so a graph without one fails fast.  Nothing is capped here: the
+    caller stops the generator at its per-type cap.
     """
-    from itertools import combinations, product
+    tag = "iii" if pid.name == "turan" else "i"
+    n_verts = 1 << n
+    idx = np.flatnonzero(in_range & (e_u != e_v))
+    if not len(idx):
+        return
+    a, b = np.minimum(e_u[idx], e_v[idx]), np.maximum(e_u[idx], e_v[idx])
+    adj = np.zeros((n_verts, n_verts), dtype=bool)
+    adj[a, b] = adj[b, a] = True
+    adj_f = adj.astype(np.float32)  # exact: counts stay far below 2**24
+    keep = (adj_f @ adj_f)[a, b] >= r - 1
+    del adj_f
+    idx, a, b = idx[keep], a[keep], b[keep]
+    if not len(idx):
+        return
+    adj[:] = False
+    adj[a, b] = adj[b, a] = True
 
-    lo_pairs: dict[tuple[int, int], list[int]] = {}
-    for i in np.flatnonzero(in_range):
-        i = int(i)
-        u, v = int(e_u[i]), int(e_v[i])
-        if u == v:
-            continue
-        lo_pairs.setdefault((min(u, v), max(u, v)), []).append(i)
-    vertices = sorted({p for pair in lo_pairs for p in pair})
-    found: list[tuple[int, ...]] = []
-    for subset in combinations(vertices, r + 1):
-        pair_lists = []
-        ok = True
-        for a, b in combinations(subset, 2):
-            lst = lo_pairs.get((a, b))
-            if not lst:
-                ok = False
-                break
-            pair_lists.append(lst)
-        if not ok:
-            continue
-        for combo in product(*pair_lists):
-            found.append(tuple(sorted(combo)))
-            if len(found) > 200000:
-                break
-    found.sort()
-    seen = set()
-    for tup in found:
-        if tup in seen:
-            continue
-        seen.add(tup)
-        if lo <= tup[0] < hi:
-            yield make_solution(pid, "iii" if pid.name == "turan" else "i",
-                                *(_bs(w, v) for v in tup))
+    # index lists per vertex pair: members[start[p]:stop[p]] ascending
+    order = np.argsort(a * n_verts + b, kind="stable")
+    members = idx[order]
+    a, b = a[order], b[order]
+    start = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+    stop = np.r_[start[1:], len(members)]
+    pair_id = np.full((n_verts, n_verts), -1, dtype=np.int32)
+    pair_id[a[start], b[start]] = pair_id[b[start], a[start]] = np.arange(len(start))
+    last_of_pair = members[stop - 1]
+
+    def fill(chosen: tuple[int, ...], owed: list[list[int]]) -> Iterator[tuple[int, ...]]:
+        # every vertex is fixed: take one index from each owed pair, ascending
+        if not owed:
+            yield chosen
+            return
+        bound = min(lst[-1] for lst in owed)
+        for i, k in sorted((i, k) for k, lst in enumerate(owed)
+                           for i in lst if chosen[-1] < i <= bound):
+            yield from fill(chosen + (i,), owed[:k] + owed[k + 1:])
+
+    def extend(verts: tuple[int, ...], chosen: tuple[int, ...],
+               used: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        owed = [int(pair_id[x, y]) for x, y in combinations(verts, 2)]
+        owed = [p for p in owed if p not in used]
+        need = r + 1 - len(verts)
+        if not need:
+            yield from fill(chosen, [members[start[p]:stop[p]].tolist() for p in owed])
+            return
+        last = chosen[-1]
+        bound = min((int(last_of_pair[p]) for p in owed), default=len(e_u))
+        if bound <= last:
+            return
+        common = adj[list(verts)].all(axis=0)
+        common[list(verts)] = False
+        cs = np.flatnonzero(common)
+        if need >= 2:
+            # the vertices still to come form a clique: each needs need-1
+            # neighbours among the common ones
+            inner = adj[np.ix_(cs, cs)]
+            ok = inner.sum(axis=1) >= need - 1
+            cs, inner = cs[ok], inner[np.ix_(ok, ok)]
+        if len(cs) < need:
+            return
+        cand = [np.array(owed, dtype=np.int64), pair_id[np.ix_(verts, cs)].ravel()]
+        if need >= 2:
+            x, y = np.nonzero(np.triu(inner, 1))
+            cand.append(pair_id[cs[x], cs[y]])
+        pairs = np.concatenate(cand)
+        lens = stop[pairs] - start[pairs]
+        offsets = np.repeat(start[pairs] - np.cumsum(lens) + lens, lens)
+        nxt = members[offsets + np.arange(len(offsets))]
+        yield from branch(np.sort(nxt[(nxt > last) & (nxt <= bound)]).tolist(), verts, chosen, used)
+
+    def branch(candidates: list[int], verts: tuple[int, ...], chosen: tuple[int, ...],
+               used: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        # if no completion follows index i of pair p, none follows a later index
+        # of p either: swapping it for i would give one
+        dead: set[int] = set()
+        for i in candidates:
+            u, v = int(e_u[i]), int(e_v[i])
+            p = int(pair_id[u, v])
+            if p in dead:
+                continue
+            found = False
+            for tup in extend(tuple(sorted({*verts, u, v})), chosen + (i,), used | {p}):
+                found = True
+                yield tup
+            if not found:
+                dead.add(p)
+
+    firsts = np.sort(members[(members >= lo) & (members < hi)]).tolist()
+    for tup in branch(firsts, (), (), frozenset()):
+        yield make_solution(pid, tag, *(_bs(w, t) for t in tup))
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +530,11 @@ def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget
                         ) -> tuple[list[Solution], bool]:
     """All accepted solutions in canonical order, capped per type.
 
-    Returns (solutions, truncated).  Clique-type witnesses appear once in
-    sorted-index form; every other type is enumerated exhaustively up to the
-    per-type cap.
+    Returns (solutions, truncated).  Every type is enumerated lazily in
+    canonical order and stopped at the per-type cap, the only cap that
+    applies; ``truncated`` says whether any type reached it.  Clique-type
+    witnesses appear once, in sorted-index form, from a depth-first search
+    that yields them in ascending order without building the rest.
     """
     wf = inst.wellformed_verdict
     if not wf:

@@ -38,6 +38,7 @@ from tfnpkit.circuit import (
 )
 from tfnpkit.errors import DomainError
 from tfnpkit.numerics import BitString
+from tfnpkit.solvers import _fold_circuit
 
 
 def B(s):
@@ -239,6 +240,22 @@ def test_apply_many_agrees_with_pointwise(h, data):
         xs = np.array([0, (1 << circ.in_width) - 1, 1], dtype=np.int64)
         assert list(apply_many(circ, xs)) == [want[v] for v in xs]
         assert brute(circ) == want
+
+
+def test_gatenet_bit_planes_match_scalar_interpreter():
+    # every gate op, with inputs and outputs wider than one byte
+    gates = [Gate("INPUT", i) for i in range(10)] + [
+        Gate("CONST", 0), Gate("CONST", 1), Gate("NOT", 0), Gate("AND", 1, 2),
+        Gate("OR", 3, 4), Gate("XOR", 5, 6), Gate("AND", 10, 7), Gate("OR", 11, 8),
+        Gate("XOR", 12, 9), Gate("NOT", 15),
+    ]
+    net = GateNet(10, gates, list(range(10, 20)) + [9])
+    assert list(eval_all(net)) == [net._eval_value(v) for v in range(1 << 10)]
+    # the 22 -> 16 XOR fold that fuzz_instance puts in front of its table
+    fold = _fold_circuit(22, 16)
+    sample = [0, (1 << 22) - 1] + np.random.default_rng(0).integers(0, 1 << 22, 4096).tolist()
+    table = eval_all(fold)
+    assert [int(table[v]) for v in sample] == [fold._eval_value(v) for v in sample]
 
 
 def test_eval_all_table_is_cached_and_read_only():

@@ -1,11 +1,13 @@
 """Solver tests: exhaustive agreement with the verifier, canonical ordering,
 budget handling, and the explicit Ramsey construction."""
 
-from itertools import product
+import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from tfnpkit.circuit import Table, eval_all
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import bits_of, ceil_log2
 from tfnpkit.problems import (
@@ -23,6 +25,7 @@ from tfnpkit.problems import (
 from tfnpkit.solvers import (
     ColoringMatrix,
     SolveBudget,
+    _popcount,
     brute_force_solve,
     coloring_from_text,
     coloring_to_text,
@@ -155,6 +158,116 @@ def test_fuzz_instance_folds_wide_inputs():
     assert wellformed(inst).ok
     out = inst.circuit.eval(bits_of(0, 20))
     assert out.width == 5
+
+
+def test_popcount_matches_bin_count():
+    top = (1 << 24) - 1
+    vals = np.r_[0, top, np.random.default_rng(0).integers(0, top, size=2000)].astype(np.int64)
+    assert _popcount(vals).tolist() == [bin(int(v)).count("1") for v in vals]
+
+
+# ---------------------------------------------------------------------------
+# clique search
+
+
+def oracle_cliques(inst, r):
+    """Sorted index tuples whose edges cover a K_{r+1}: every vertex subset of
+    size r+1 times the product of its pairs' index lists, uncapped."""
+    n = inst.n
+    outs = eval_all(inst.circuit)
+    limit = inst.nm[1] if inst.pid.name == "turan" else len(outs)
+    pairs = {}
+    for i in range(limit):
+        u, v = int(outs[i]) >> n, int(outs[i]) & ((1 << n) - 1)
+        if u != v:
+            pairs.setdefault((min(u, v), max(u, v)), []).append(i)
+    verts = sorted({p for pair in pairs for p in pair})
+    found = []
+    for subset in combinations(verts, r + 1):
+        lists = [pairs.get(pq) for pq in combinations(subset, 2)]
+        if all(lists):
+            found.extend(tuple(sorted(combo)) for combo in product(*lists))
+    return sorted(found)
+
+
+def clique_tuples(sols, name):
+    return [tuple(v.value for v in s.values()) for s in sols if s.tag == CLIQUE_TAG[name]]
+
+
+CLIQUE_ORACLE_CASES = (
+    [(name, None, n) for name in ("weak_mantel", "mantel") for n in range(2, 7)]
+    + [(name, r, n) for name in ("weak_turan", "turan") for r in (2, 3) for n in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("name,r,n", CLIQUE_ORACLE_CASES)
+def test_clique_enumeration_matches_oracle(name, r, n):
+    pid = ProblemId(name, r=r)
+    for inst in designed_instances(pid, n) + [fuzz_instance(pid, n, seed) for seed in (0, 1)]:
+        want = oracle_cliques(inst, r or 2)
+        # the cap is per type: at len(want) the clique type is complete
+        sols, _ = enumerate_solutions(inst, SolveBudget(max_per_type=max(len(want), 1)))
+        assert clique_tuples(sols, name) == want
+
+
+@pytest.mark.parametrize("pid,n,count", [
+    (ProblemId("weak_mantel"), 7, 340025),
+    (ProblemId("weak_turan", r=4), 5, 269776),
+])
+def test_clique_enumeration_past_two_hundred_thousand(pid, n, count):
+    # more cliques than a search capped at 200000 could build: the first 300
+    # in canonical order must still be the true first 300
+    inst = fuzz_instance(pid, n, 0)
+    want = oracle_cliques(inst, pid.r or 2)
+    assert len(want) == count
+    sols, truncated = enumerate_solutions(inst, SolveBudget(max_per_type=300))
+    got = clique_tuples(sols, pid.name)
+    assert truncated and got == want[:300]
+    if pid.name == "weak_mantel":
+        assert (0, 285, 7920) in got
+
+
+@pytest.mark.parametrize("name,r", [("weak_mantel", None), ("mantel", None),
+                                    ("weak_turan", 3), ("turan", 2)])
+def test_clique_solve_agrees_across_parallelism(name, r):
+    pid = ProblemId(name, r=r)
+    for n in (6, 7, 8):
+        for inst in designed_instances(pid, n) + [fuzz_instance(pid, n, seed) for seed in (0, 1)]:
+            best = brute_force_solve(inst)
+            for p in (2, 3):
+                assert brute_force_solve(inst, SolveBudget(parallelism=p)) == best
+
+
+def bipartite_mantel(n):
+    """weak_mantel on the complete bipartite graph between the lower and the
+    upper half of the vertices, every pair in both orientations: no triangle."""
+    w = 2 * n - 1
+    half = 1 << (n - 1)
+    i = np.arange(1 << w)
+    low, high = i & (half - 1), half | ((i >> (n - 1)) & (half - 1))
+    swap = (i >> (w - 1)) == 1
+    e_u, e_v = np.where(swap, high, low), np.where(swap, low, high)
+    return ProblemInstance(ProblemId("weak_mantel"), n, Table(w, 2 * n, (e_u << n) | e_v))
+
+
+def width_19_cases():
+    mantel = ProblemId("weak_mantel")
+    yield "random", fuzz_instance(mantel, 10, 0), "i"
+    for k, inst in enumerate(designed_instances(mantel, 10)):
+        yield f"designed-{k}", inst, "ii"
+    yield "bipartite", bipartite_mantel(10), "ii"
+    yield "turan-r3", fuzz_instance(ProblemId("weak_turan", r=3), 10, 0), "i"
+
+
+@pytest.mark.parametrize("label", [label for label, _, _ in width_19_cases()])
+def test_clique_solve_within_budget_at_width_19(label):
+    inst, tag = next((inst, tag) for lab, inst, tag in width_19_cases() if lab == label)
+    assert inst.in_width == 19
+    t0 = time.perf_counter()
+    sol = brute_force_solve(inst)
+    elapsed = time.perf_counter() - t0
+    assert verify(inst, sol).ok and sol.tag == tag
+    assert elapsed < 10, f"{label}: {elapsed:.1f} s"
 
 
 # ---------------------------------------------------------------------------
