@@ -18,19 +18,27 @@ output: they index that table when the circuit has one, and otherwise run
 the scalar interpreter ``_eval_value`` with a per-circuit memo.  A
 ``GateNet`` evaluates on bit-planes: one uint8 array per gate (4 MB at
 in_width 22 rather than 32 MB), with inputs and outputs held in the narrowest
-unsigned dtype until the int64 result is formed.
+unsigned dtype until the int64 result is formed.  A ``Table`` keeps its rows
+as one read-only int64 array, which is also its ``eval_all`` table; rows
+wider than 62 bits stay a tuple of exact Python ints.
 
 Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
-header followed by one node.  Leaf content lines (table rows, netlist gates)
-sit at the node's own indent; combinator children are indented two spaces
-deeper.  ``COMPOSE`` children are listed outer first, i.e. ``Compose(f, g)``
-with output ``f(g(x))``.
+header followed by one node.  ``to_text`` writes leaf content lines (table
+rows, netlist gates) at the node's own indent and combinator children two
+spaces deeper.  ``COMPOSE`` children are listed outer first, i.e.
+``Compose(f, g)`` with output ``f(g(x))``.  ``from_text`` skips blank lines
+anywhere and checks the indent of node and piecewise case lines only; table
+rows and netlist gates may sit at any indent, and a row may end in blanks.
+Table rows move in bulk: ``to_text`` prints them from one uint8 character
+array, and ``from_text`` checks and converts them the same way when they are
+all spaces then the digits, of one length.  Other rows are read one at a
+time, which reports the first bad row with its line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,35 +126,45 @@ def eval_all(c: Circuit) -> np.ndarray:
 
 
 class Table(Circuit):
-    """Explicit truth table: row i is the output for input value i."""
+    """Explicit truth table: row i is the output for input value i.
 
-    def __init__(self, in_width: int, out_width: int, rows: Sequence[int]):
+    Up to MAX_VECTOR_WIDTH output bits the rows are one read-only int64 array,
+    which is also the circuit's ``eval_all`` table; wider rows stay a tuple of
+    exact Python ints and have no vector form.
+    """
+
+    def __init__(self, in_width: int, out_width: int, rows: Sequence[int] | np.ndarray):
         if in_width > MAX_TABLE_WIDTH:
             raise DomainError(f"table in_width {in_width} beyond cap {MAX_TABLE_WIDTH}")
-        rows = tuple(int(r) for r in rows)
+        if out_width <= MAX_VECTOR_WIDTH:
+            try:
+                rows = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                raise DomainError("table row out of range") from None
+            rows.flags.writeable = False
+            self._table = rows
+        else:
+            rows = tuple(int(r) for r in rows)
         if len(rows) != 1 << in_width:
             raise DomainError(f"table needs {1 << in_width} rows, got {len(rows)}")
-        top = 1 << out_width
-        if any(not 0 <= r < top for r in rows):
+        lo, hi = (rows.min(), rows.max()) if self._table is not None else (min(rows), max(rows))
+        if lo < 0 or hi >> out_width:
             raise DomainError("table row out of range")
         self.in_width = in_width
         self.out_width = out_width
         self.rows = rows
-        self._np_rows = None
 
     def _key(self):
-        return (self.in_width, self.out_width, self.rows)
+        rows = self.rows.tobytes() if self._table is not None else self.rows
+        return (self.in_width, self.out_width, rows)
 
     def _eval_value(self, v):
-        return self.rows[v]
-
-    def _rows_array(self):
-        if self._np_rows is None:
-            self._np_rows = np.array(self.rows, dtype=np.int64)
-        return self._np_rows
+        return int(self.rows[v])
 
     def _apply_many(self, xs):
-        return self._rows_array()[xs]
+        if self._table is None:
+            raise DomainError(f"table rows wider than vector limit {MAX_VECTOR_WIDTH}")
+        return self._table[xs]
 
 
 @dataclass(frozen=True)
@@ -657,10 +675,6 @@ def embed(inner: Circuit, w: int) -> Circuit:
     return PadLeft(Compose(inner, take_low(w, m)), w - m)
 
 
-def guard_prefix(inner: Circuit, t: int) -> Circuit:
-    return GuardPrefix(inner, t)
-
-
 # ---------------------------------------------------------------------------
 # one-bit shrink chains with collision pull-back
 
@@ -717,13 +731,28 @@ def _params_str(d: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in d.items())
 
 
+def _rows_text(c: Table, indent: int) -> str:
+    """A table's rows, one line each at the given indent, without a final
+    newline.  int64 rows are written as one uint8 character array, filled a
+    digit column at a time."""
+    width = c.out_width
+    if c._table is None:
+        return "\n".join(" " * indent + format(r, f"0{width}b") for r in c.rows)
+    rows = c._table
+    chars = np.empty((len(rows), indent + width + 1), dtype=np.uint8)
+    chars[:, :indent] = ord(" ")
+    chars[:, -1] = ord("\n")
+    for j in range(width):
+        chars[:, indent + j] = ord("0") + ((rows >> (width - 1 - j)) & 1)
+    return chars.tobytes()[:-1].decode("ascii")
+
+
 def _node_lines(c: Circuit, indent: int) -> list[str]:
+    """Text lines of a node; a table's rows come as one multi-line string."""
     pad = " " * indent
     kid = indent + 2
     if isinstance(c, Table):
-        lines = [f"{pad}TABLE in={c.in_width} out={c.out_width}"]
-        lines += [pad + format(r, f"0{c.out_width}b") for r in c.rows]
-        return lines
+        return [f"{pad}TABLE in={c.in_width} out={c.out_width}", _rows_text(c, indent)]
     if isinstance(c, GateNet):
         lines = [f"{pad}NETLIST in={c.in_width}"]
         for i, g in enumerate(c.gates):
@@ -786,13 +815,27 @@ MAX_PARSE_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, lines: list[tuple[int, int, str]]):
-        self.lines = lines  # (lineno, indent, text)
-        self.pos = 0
+    """Recursive-descent parser over the raw text lines.  Blank lines are
+    skipped wherever they occur; a line's indent is read only where a node or
+    a piecewise case is expected."""
+
+    def __init__(self, lines: list[str], start_line: int):
+        self.lines = lines
+        self.pos = 0  # index of the next unread line
+        self.start_line = start_line
         self.depth = 0
 
     def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        """(lineno, indent, text) of the next non-blank line, or None."""
+        lines, pos = self.lines, self.pos
+        while pos < len(lines) and not lines[pos].strip():
+            pos += 1
+        self.pos = pos
+        if pos == len(lines):
+            return None
+        raw = lines[pos]
+        stripped = raw.lstrip(" ")
+        return self.start_line + pos, len(raw) - len(stripped), stripped.rstrip()
 
     def take(self):
         item = self.peek()
@@ -800,6 +843,23 @@ class _Parser:
             raise ParseError("unexpected end of circuit text")
         self.pos += 1
         return item
+
+    def table_rows(self, count: int, width: int):
+        """The next count rows of a TABLE: in bulk when ``_bulk_rows`` takes
+        the lines right after it, else one non-blank line at a time, which
+        reports the first bad row."""
+        if 0 < width <= MAX_VECTOR_WIDTH:
+            rows = _bulk_rows(self.lines[self.pos:self.pos + count], count, width)
+            if rows is not None:
+                self.pos += count
+                return rows
+        rows = []
+        for _ in range(count):
+            ln, _, row = self.take()
+            if set(row) - {"0", "1"} or len(row) != width:
+                raise ParseError(f"bad table row {row!r}", ln)
+            rows.append(int(row, 2))
+        return rows
 
     def parse_node(self, indent: int, default_in=None, default_out=None) -> Circuit:
         item = self.peek()
@@ -834,13 +894,7 @@ class _Parser:
             out_w = int(attrs.get("out", default_out if default_out is not None else -1))
             if in_w < 0 or out_w < 0:
                 raise ParseError("nested TABLE needs in= and out=", lineno)
-            rows = []
-            for _ in range(1 << in_w):
-                ln, _, row = self.take()
-                if set(row) - {"0", "1"} or len(row) != out_w:
-                    raise ParseError(f"bad table row {row!r}", ln)
-                rows.append(int(row, 2) if row else 0)
-            return Table(in_w, out_w, rows)
+            return Table(in_w, out_w, self.table_rows(1 << in_w, out_w))
         if word == "NETLIST":
             in_w = int(attrs.get("in", default_in if default_in is not None else -1))
             if in_w < 0:
@@ -929,29 +983,44 @@ def _parse_attrs(text: str, lineno: int) -> dict:
     return attrs
 
 
+def _bulk_rows(block: list[str], count: int, width: int) -> np.ndarray | None:
+    """Table rows as int64 values, if block holds count lines of one length,
+    each spaces followed by width 0/1 digits; None otherwise.  The lines are
+    checked and converted as one uint8 character array, a digit column at a
+    time."""
+    if len(block) != count:
+        return None
+    length = len(block[0])
+    indent = length - width
+    text = "\n".join(block) + "\n"
+    if indent < 0 or len(text) != count * (length + 1) or not text.isascii():
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(count, length + 1)
+    digits = chars[:, indent:length]
+    # no newline passes these checks, so each one ends a line of exactly length
+    if (chars[:, :indent] != ord(" ")).any() or ((digits | 1) != ord("1")).any():
+        return None
+    rows = np.zeros(count, dtype=np.int64)
+    for j in range(width):
+        rows <<= 1
+        rows |= digits[:, j] & 1
+    return rows
+
+
 def from_text(text: str, start_line: int = 1) -> Circuit:
-    lines = []
-    header = None
-    for off, raw in enumerate(text.splitlines()):
-        if not raw.strip():
-            continue
-        lineno = start_line + off
-        stripped = raw.lstrip(" ")
-        indent = len(raw) - len(stripped)
-        if header is None:
-            if not stripped.startswith("CIRCUIT"):
-                raise ParseError("expected CIRCUIT header", lineno)
-            header = (_parse_attrs(stripped, lineno), lineno)
-        else:
-            lines.append((lineno, indent, stripped.rstrip()))
-    if header is None:
+    parser = _Parser(text.splitlines(), start_line)
+    if parser.peek() is None:
         raise ParseError("empty circuit text")
-    attrs, hline = header
+    hline, _, head = parser.take()
+    if not head.startswith("CIRCUIT"):
+        raise ParseError("expected CIRCUIT header", hline)
+    attrs = _parse_attrs(head, hline)
     try:
         in_w, out_w = int(attrs["in"]), int(attrs["out"])
     except KeyError as e:
         raise ParseError(f"CIRCUIT header missing {e}", hline)
-    parser = _Parser(lines)
+    except ValueError as e:
+        raise ParseError(f"bad CIRCUIT header: {e}", hline) from None
     node = parser.parse_node(0, default_in=in_w, default_out=out_w)
     if parser.peek() is not None:
         raise ParseError("trailing content after circuit", parser.peek()[0])

@@ -19,7 +19,6 @@ from .encodings import (
     chain_representative,
     cover_decode,
     cover_encode,
-    cover_width,
     lexpair_decode,
     lexpair_encode,
     prufer_decode_rank,
@@ -38,7 +37,6 @@ from .problems import (
 )
 from .reductions import (
     ENTRY_DEFAULTS,
-    REDUCTION_NAMES,
     apply as apply_reduction,
     build_reduction,
     pullback as pullback_reduction,

@@ -103,10 +103,6 @@ class BitString:
         return other <= self
 
 
-def value_of(b: BitString) -> int:
-    return b.value
-
-
 def bits_of(value: int, width: int) -> BitString:
     if value < 0:
         raise DomainError(f"negative value {value}")
@@ -130,17 +126,3 @@ def ceil_log2(v: int) -> int:
     if v < 1:
         raise DomainError(f"ceil_log2 needs v >= 1, got {v}")
     return (v - 1).bit_length()
-
-
-def add_mod(a: BitString, c: int) -> BitString:
-    return BitString(a.width, (a.value + c) % (1 << a.width))
-
-
-def sub_mod(a: BitString, c: int) -> BitString:
-    return BitString(a.width, (a.value - c) % (1 << a.width))
-
-
-def xor_const(a: BitString, c: int) -> BitString:
-    if not 0 <= c < (1 << a.width):
-        raise DomainError(f"xor constant {c} does not fit width {a.width}")
-    return BitString(a.width, a.value ^ c)

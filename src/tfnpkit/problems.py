@@ -9,9 +9,9 @@ verbatim, including every threshold side condition, and reports either
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "instance_from_text",
     "instance_to_text",
     "is_spanning_tree",
+    "random_table",
     "solution_from_text",
     "star_tree",
     "solution_to_text",
@@ -651,14 +652,20 @@ def honest_turan_params(r: int, n: int) -> tuple[int, int]:
     return big_n, big_m
 
 
+def random_table(rng: np.random.Generator, in_w: int, out_w: int) -> Table:
+    """A uniform random truth table: 2**in_w rows drawn from rng as uint64."""
+    if out_w > 64:
+        raise CapabilityError(f"random tables have at most 64 output bits, this one needs {out_w}")
+    return Table(in_w, out_w, rng.integers(0, 2 ** out_w, size=2 ** in_w, dtype=np.uint64))
+
+
 def gen_random_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
     """Deterministic random instance: a uniform truth table plus honest auxiliaries."""
     in_w, out_w = circuit_shape(pid, n)
     if in_w > GEN_WIDTH_CAP:
         raise CapabilityError(f"instance input width {in_w} exceeds generation cap {GEN_WIDTH_CAP}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = rng.integers(0, 2 ** out_w, size=2 ** in_w, dtype=np.uint64)
-    table = Table(in_w, out_w, [int(v) for v in rows])
+    table = random_table(rng, in_w, out_w)
     abc = None
     nm = None
     if pid.name in _WS_FAMILY:

@@ -20,8 +20,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .circuit import Circuit, Compose, Gate, GateNet, Table, const_circuit, eval_all, not_all, take_low
-from .encodings import is_spanning_tree
+from .circuit import Circuit, Compose, Gate, GateNet, const_circuit, eval_all, not_all, take_low
 from .errors import CapabilityError, DomainError, IntegrityError, ParseError
 from .numerics import BitString, binomial
 from .problems import (
@@ -33,6 +32,7 @@ from .problems import (
     gen_random_instance,
     honest_turan_params,
     make_solution,
+    random_table,
     solution_order_key,
     star_tree,
 )
@@ -207,9 +207,8 @@ def _enum_tag(inst: ProblemInstance, tag: str, lo: int, hi: int) -> Iterator[Sol
     if name in ("weak_cayley", "cayley"):
         thr = n ** (n - 2)
         in_thr = np.arange(size) < thr if name == "cayley" else np.ones(size, dtype=bool)
-        trees = _tree_mask(n, outs)
         if tag == "i":
-            for x in _singles(~trees & in_thr, lo, hi):
+            for x in _singles(~_tree_mask(n, outs) & in_thr, lo, hi):
                 yield sol(x)
         elif tag == "ii":
             # only the first witness is range-restricted by the tight variant
@@ -248,14 +247,31 @@ def _canonical_blocks(k: int, n: int) -> np.ndarray:
 
 
 def _tree_mask(n: int, outs: np.ndarray) -> np.ndarray:
-    cache: dict[int, bool] = {}
-    mask = np.zeros(outs.shape, dtype=bool)
-    width = n * (n - 1) // 2
-    for i, v in enumerate(outs):
-        v = int(v)
-        if v not in cache:
-            cache[v] = is_spanning_tree(n, BitString(width, v))
-        mask[i] = cache[v]
+    """Which values of outs are spanning trees on n vertices, as edge bitmaps
+    in the pair order of ``edges_of_bitmap``.
+
+    A graph with n-1 edges is a tree exactly when it is connected, so only
+    those rows are swept: each gets one vertex bitmask per vertex, and the
+    set reached from vertex 1 grows a neighbourhood at a time.
+    """
+    mask = _popcount(outs) == n - 1
+    graphs = outs[mask]
+    vtype = np.min_scalar_type((1 << n) - 1)
+    nbrs = [np.zeros(len(graphs), dtype=vtype) for _ in range(n)]
+    bit = n * (n - 1) // 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            bit -= 1
+            has = ((graphs >> bit) & 1).astype(vtype)
+            nbrs[i] |= has << j
+            nbrs[j] |= has << i
+    reached = np.ones(len(graphs), dtype=vtype)
+    for _ in range(n - 1):
+        grown = reached.copy()
+        for v in range(n):
+            grown |= nbrs[v] * ((reached >> v) & 1)
+        reached = grown
+    mask[mask] = reached == (1 << n) - 1
     return mask
 
 
@@ -625,8 +641,7 @@ def fuzz_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
     if in_w <= 16:
         return gen_random_instance(pid, n, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = [int(v) for v in rng.integers(0, 2 ** out_w, size=2 ** 16, dtype=np.uint64)]
-    circ = Compose(Table(16, out_w, rows), _fold_circuit(in_w, 16))
+    circ = Compose(random_table(rng, 16, out_w), _fold_circuit(in_w, 16))
     abc = None
     if pid.name in ("ws", "ws_collisions", "ws_colorful"):
         while True:

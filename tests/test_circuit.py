@@ -36,8 +36,16 @@ from tfnpkit.circuit import (
     take_low,
     to_text,
 )
-from tfnpkit.errors import DomainError
+from tfnpkit.errors import DomainError, ParseError
 from tfnpkit.numerics import BitString
+from tfnpkit.problems import (
+    ProblemId,
+    gen_random_instance,
+    instance_from_text,
+    instance_to_text,
+    make_solution,
+    verify,
+)
 from tfnpkit.solvers import _fold_circuit
 
 
@@ -233,8 +241,9 @@ def test_apply_many_agrees_with_pointwise(h, data):
         )),
     ]
     for circ in circuits:
-        # the scalar interpreter is the reference; it never reads a table
-        assert circ._table is None
+        # the scalar interpreter is the reference; it never reads a table,
+        # except a Table's own rows, which are its table
+        assert circ._table is None or circ is t
         want = [circ._eval_value(v) for v in range(1 << circ.in_width)]
         assert list(eval_all(circ)) == want
         xs = np.array([0, (1 << circ.in_width) - 1, 1], dtype=np.int64)
@@ -287,3 +296,176 @@ def test_eval_memo_consistency():
     t = Table(3, 3, list(range(8)))
     x = BitString(3, 5)
     assert t.eval(x) == t.eval(x) == x
+
+
+# ---------------------------------------------------------------------------
+# TABLE text codec against a row-by-row reference
+
+
+def reference_tables(text, start_line=1):
+    """Every TABLE of circuit text as (in, out, rows), in text order, read one
+    row at a time: blank lines are skipped, a row's leading spaces and
+    trailing whitespace dropped, and what is left must be out 0/1 digits.
+    Raises the ParseError the parser reports for the first bad row."""
+    lines = [(start_line + i, raw.lstrip(" ").rstrip())
+             for i, raw in enumerate(text.splitlines()) if raw.strip()]
+    tables = []
+    pos = 0
+    while pos < len(lines):
+        _, head = lines[pos]
+        pos += 1
+        if head.split()[0] != "TABLE":
+            continue
+        attrs = dict(tok.split("=") for tok in head.split()[1:])
+        in_w, out_w = int(attrs["in"]), int(attrs["out"])
+        rows = []
+        for _ in range(1 << in_w):
+            if pos == len(lines):
+                raise ParseError("unexpected end of circuit text")
+            ln, row = lines[pos]
+            pos += 1
+            if set(row) - {"0", "1"} or len(row) != out_w:
+                raise ParseError(f"bad table row {row!r}", ln)
+            rows.append(int(row, 2))
+        tables.append((in_w, out_w, rows))
+    return tables
+
+
+def tables_of(c):
+    """(in, out, rows) of every Table in c, in the order to_text writes them."""
+    if isinstance(c, Table):
+        return [(c.in_width, c.out_width, [int(r) for r in c.rows])]
+    return [t for kid in c._children() for t in tables_of(kid)]
+
+
+def reference_table_text(t, indent):
+    pad = " " * indent
+    return "\n".join([f"{pad}TABLE in={t.in_width} out={t.out_width}"]
+                     + [pad + format(int(r), f"0{t.out_width}b") for r in t.rows])
+
+
+def parse_outcome(parse, text, start_line=1):
+    try:
+        return parse(text, start_line)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def assert_round_trip(c, placed=()):
+    """to_text(c) holds each (table, indent) of placed as the reference writes
+    it, and parsing it back gives c and the reference parser's tables."""
+    text = to_text(c)
+    for t, indent in placed:
+        assert reference_table_text(t, indent) + "\n" in text
+    back = from_text(text)
+    assert back == c
+    assert tables_of(back) == reference_tables(text) == tables_of(c)
+    assert to_text(back) == text
+
+
+def nested_tables():
+    t1 = Table(4, 3, [(3 * v) % 8 for v in range(16)])
+    t2 = Table(2, 2, [1, 2, 3, 0])
+    t3 = Table(1, 2, [3, 1])
+    t4 = Table(4, 3, [(5 * v + 1) % 8 for v in range(16)])
+    c = Compose(
+        Piecewise((Case(t4, lo=0, hi=5), Case(t1, lo=0, hi=16))),
+        Parallel(t2, Compose(t3, identity(1))),
+    )
+    return c, ((t4, 6), (t1, 6), (t2, 4), (t3, 6))
+
+
+def test_table_codec_round_trips_65536_rows():
+    rows = np.random.default_rng(3).integers(0, 1 << 16, size=1 << 16)
+    t = Table(16, 16, rows)
+    assert_round_trip(t, [(t, 0)])
+    assert to_text(t) == "CIRCUIT in=16 out=16\n" + reference_table_text(t, 0) + "\n"
+
+
+def test_table_codec_round_trips_nested_and_short_tables():
+    c, placed = nested_tables()
+    assert_round_trip(c, placed)
+    for t in (Table(0, 3, [5]), Table(1, 1, [1, 0]), Table(2, 62, [0, 1, (1 << 62) - 1, 1 << 61])):
+        assert_round_trip(t, [(t, 0)])
+        assert_round_trip(PadLeft(t, 1), [(t, 2)])
+
+
+def test_table_codec_keeps_exact_rows_past_62_bits():
+    inst = gen_random_instance(ProblemId("gekr", k=32), 2, 0)
+    t = inst.circuit
+    assert (t.in_width, t.out_width) == (6, 64) and t._table is None
+    assert max(t.rows) >= 1 << 62
+    assert_round_trip(t, [(t, 0)])
+    assert_round_trip(Slice(t, 0, 63), [(t, 2)])
+    back = instance_from_text(instance_to_text(inst))
+    assert back.circuit == t
+    x = next(x for x, r in enumerate(t.rows) if bin(r).count("1") != 2)
+    sol = make_solution(inst.pid, "i", BitString(6, x))
+    assert verify(inst, sol).ok and verify(back, sol).ok
+
+
+def test_table_codec_skips_blank_lines_between_rows():
+    c, _ = nested_tables()
+    lines = to_text(c).split("\n")
+    rows = [i for i, ln in enumerate(lines) if ln.strip() and set(ln.strip()) <= {"0", "1"}]
+    for i, blank in zip(reversed(rows[1::3]), ("", "   ", "\t", " \t ")):
+        lines.insert(i, blank)
+    text = "\n".join(lines)
+    assert from_text(text) == c
+    assert tables_of(from_text(text)) == reference_tables(text) == tables_of(c)
+
+
+def test_table_codec_reports_bad_rows_like_the_reference():
+    c, _ = nested_tables()
+    t = Table(3, 5, [v * 3 for v in range(8)])
+    mutations = (
+        lambda s: s[:-1] + "2",  # a bad character
+        lambda s: s[:-1],  # one digit short
+        lambda s: s + "0",  # one digit long
+        lambda s: s.replace(s.strip(), "\t" + s.strip()),  # a leading tab
+        lambda s: s.replace(s.strip(), s.strip()[0] + "\t" + s.strip()[1:]),  # a tab inside
+        lambda s: s + "\t",  # a trailing tab: accepted
+        lambda s: s + "  ",  # trailing spaces: accepted
+        lambda s: " " + s,  # one more space of indent: accepted
+        lambda s: s.replace("0", "O", 1) if "0" in s else s + "x",  # a letter
+        lambda s: s.replace(" ", "\t", 1) if s.startswith(" ") else "\t" + s,  # tab for space
+    )
+    failures = 0
+    for circ in (c, t):
+        lines = to_text(circ).split("\n")
+        rows = [i for i, ln in enumerate(lines) if ln.strip() and set(ln.strip()) <= {"0", "1"}]
+        for i in (rows[0], rows[len(rows) // 2], rows[-1]):
+            for mutate in mutations:
+                text = "\n".join(lines[:i] + [mutate(lines[i])] + lines[i + 1:])
+                for start_line in (1, 7):
+                    want = parse_outcome(reference_tables, text, start_line)
+                    got = parse_outcome(lambda s, n: tables_of(from_text(s, n)), text, start_line)
+                    assert got == want, (lines[i], mutate(lines[i]), start_line)
+                    if isinstance(got, tuple):
+                        failures += 1
+                        assert got[2] == start_line + i
+    assert failures == 2 * 3 * 2 * 7
+    # one row short and a later one long, so the rows still total the right size
+    lines = to_text(t).split("\n")
+    lines[3], lines[6] = lines[3][:-1], lines[6] + "1"
+    text = "\n".join(lines)
+    assert parse_outcome(from_text, text) == parse_outcome(reference_tables, text) == (
+        "ParseError", f"line 4: bad table row {lines[3]!r}", 4)
+
+
+def test_table_rows_are_one_read_only_array():
+    given = np.array([5, 0, 7, 2], dtype=np.uint64)
+    t = Table(2, 3, given)
+    assert t.rows.dtype == np.int64 and not t.rows.flags.writeable
+    assert eval_all(t) is t.rows and t._table is t.rows
+    assert given.flags.writeable  # the caller's array is copied, not frozen
+    assert t == Table(2, 3, (5, 0, 7, 2)) and hash(t) == hash(Table(2, 3, [5, 0, 7, 2]))
+    assert t != Table(2, 3, [5, 0, 7, 3])
+    for bad in ([0, 8], [0, -1], [0, 1 << 70], np.array([0, 1 << 63], dtype=np.uint64)):
+        with pytest.raises(DomainError, match="out of range"):
+            Table(1, 3, bad)
+    wide = Table(1, 64, [0, (1 << 64) - 1])
+    assert wide.rows == (0, (1 << 64) - 1) and wide._table is None
+    assert wide.eval(BitString(1, 1)).value == (1 << 64) - 1
+    with pytest.raises(DomainError):
+        apply_many(Slice(wide, 0, 8), np.array([0, 1]))

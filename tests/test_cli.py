@@ -121,6 +121,17 @@ def test_gen_with_structural_params(capsys, tmp_path):
     assert inst.pid.k == 3
 
 
+def test_gen_past_64_output_bits_is_a_capability_error(capsys, tmp_path):
+    # gekr k=40 n=2 has 80 output bits, wider than a uint64 row draw
+    f = tmp_path / "g.txt"
+    code, _, err = run(capsys, "gen", "gekr", "k=40", "2", "0", "--out", str(f))
+    assert code == 2
+    assert "64 output bits" in err and "Traceback" not in err
+    assert not f.exists()
+    code, _, _ = run(capsys, "gen", "gekr", "k=32", "2", "0", "--out", str(f))
+    assert code == 0 and instance_from_text(f.read_text()).circuit.out_width == 64
+
+
 # ---------------------------------------------------------------------------
 # reduce / pullback round trip
 
@@ -245,3 +256,12 @@ def test_deeply_nested_circuit_is_a_parse_error(capsys, tmp_path):
     sol.write_text("SOLUTION type=i\nWITNESS x=1\n")
     code, _, err = run(capsys, "verify", "--inst", str(inst), "--sol", str(sol))
     assert code == 2 and "nested deeper" in err
+
+
+def test_bad_circuit_header_is_a_parse_error(capsys, tmp_path):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("PROBLEM pigeon\nPARAM n=1\nCIRCUIT in=x out=1\nTABLE in=1 out=1\n0\n1\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("SOLUTION type=i\nWITNESS x=1\n")
+    code, _, err = run(capsys, "verify", "--inst", str(inst), "--sol", str(sol))
+    assert code == 2 and "line 3: bad CIRCUIT header" in err and "Traceback" not in err

@@ -1,17 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tfnpkit.circuit import ConstOp
 from tfnpkit.errors import DomainError
 from tfnpkit.numerics import (
     BitString,
-    add_mod,
     binomial,
     bits_of,
     ceil_log2,
     concat,
-    sub_mod,
-    value_of,
-    xor_const,
 )
 
 
@@ -73,20 +70,23 @@ def test_order_requires_equal_width():
 def test_bits_round_trip(width, data):
     v = data.draw(st.integers(0, (1 << width) - 1))
     b = bits_of(v, width)
-    assert value_of(b) == v
+    assert b.value == v
     assert BitString.from_bits(b.bits()) == b
     assert len(b) == width
 
 
 @given(st.integers(0, 10), st.data())
 def test_modular_ops_wrap(width, data):
+    # the constant add/sub/xor circuits wrap mod 2**width and undo each other
     v = data.draw(st.integers(0, (1 << width) - 1))
-    c = data.draw(st.integers(0, 1 << width)) if width else 0
+    c = bits_of(data.draw(st.integers(0, (1 << width) - 1)), width)
     b = bits_of(v, width)
-    assert value_of(add_mod(b, c)) == (v + c) % (1 << width)
-    assert value_of(sub_mod(add_mod(b, c), c)) == v
-    if width:
-        assert value_of(xor_const(xor_const(b, c % (1 << width)), c % (1 << width))) == v
+    add, sub, xor = (ConstOp(op, c) for op in ("add", "sub", "xor"))
+    assert add.eval(b).value == (v + c.value) % (1 << width)
+    assert sub.eval(b).value == (v - c.value) % (1 << width)
+    assert sub.eval(add.eval(b)) == b
+    assert add.eval(sub.eval(b)) == b
+    assert xor.eval(xor.eval(b)) == b
 
 
 def test_binomial_exact():

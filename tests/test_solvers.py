@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tfnpkit.circuit import Table, eval_all
+from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import bits_of, ceil_log2
 from tfnpkit.problems import (
@@ -26,6 +27,7 @@ from tfnpkit.solvers import (
     ColoringMatrix,
     SolveBudget,
     _popcount,
+    _tree_mask,
     brute_force_solve,
     coloring_from_text,
     coloring_to_text,
@@ -164,6 +166,29 @@ def test_popcount_matches_bin_count():
     top = (1 << 24) - 1
     vals = np.r_[0, top, np.random.default_rng(0).integers(0, top, size=2000)].astype(np.int64)
     assert _popcount(vals).tolist() == [bin(int(v)).count("1") for v in vals]
+
+
+def test_tree_mask_matches_is_spanning_tree():
+    rng = np.random.default_rng(0)
+    for n in range(2, 9):
+        m = n * (n - 1) // 2
+        if n <= 6:
+            graphs = np.arange(1 << m, dtype=np.int64)  # every graph
+        else:
+            # uniform bitmaps are almost never n-1 edges, so add edge subsets
+            # of that size, about a quarter of which are trees
+            subsets = [sum(1 << int(e) for e in rng.choice(m, n - 1, replace=False))
+                       for _ in range(3000)]
+            graphs = np.r_[rng.integers(0, 1 << m, size=2000), subsets].astype(np.int64)
+        want = [is_spanning_tree(n, bits_of(int(g), m)) for g in graphs]
+        assert _tree_mask(n, graphs).tolist() == want, n
+        if n <= 6:
+            assert sum(want) == n ** (n - 2)  # Cayley's formula
+        else:
+            assert 0.1 < sum(want) / 3000 < 0.5
+    # no value has n-1 edges, so no row survives to the reachability sweep
+    for graphs in (np.zeros(0, dtype=np.int64), np.array([0, (1 << 21) - 1, 7], dtype=np.int64)):
+        assert _tree_mask(7, graphs).tolist() == [False] * len(graphs)
 
 
 # ---------------------------------------------------------------------------
