@@ -11,6 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .catalog import SPECS
 from .encodings import (
     baranyai_table,
     baranyai_verify,
@@ -49,11 +50,6 @@ from .solvers import (
     fuzz_soundness,
     ramsey_explicit,
 )
-
-# problems that require a structural parameter alongside n
-_NEEDS_K = ("weak_gekr", "gekr", "general_pigeon")
-_NEEDS_R = ("weak_turan", "turan")
-
 
 def _bits(token: str) -> BitString:
     if not token or any(ch not in "01" for ch in token):
@@ -160,13 +156,12 @@ def _cmd_codec(args) -> int:
 
 
 def _problem_id(name: str, params: dict[str, str]) -> ProblemId:
-    k = int(params["k"]) if "k" in params else None
-    r = int(params["r"]) if "r" in params else None
-    if name in _NEEDS_K and k is None:
-        raise ParseError(f"{name} needs k=<int>")
-    if name in _NEEDS_R and r is None:
-        raise ParseError(f"{name} needs r=<int>")
-    return ProblemId(name, k=k, r=r)
+    """The problem id from k=/r= tokens; a parameter the problem needs must be given."""
+    spec = SPECS.get(name)
+    needed = spec.params if spec else {}
+    given = {key: _int_param(params, key, name) for key in ("k", "r")
+             if key in params or key in needed}
+    return ProblemId(name, **given)
 
 
 def _cmd_gen(args) -> int:
@@ -226,10 +221,10 @@ def _entry_params(name: str, inst, overrides: dict[str, str]) -> dict:
             params[key] = inst.pid.k
         elif key in ("r", "r1") and inst.pid.r is not None:
             params[key] = inst.pid.r
-    for key, val in overrides.items():
+    for key in overrides:
         if key not in params:
             raise ParseError(f"{name} takes no parameter {key!r} (has {sorted(params)})")
-        params[key] = int(val)
+        params[key] = _int_param(overrides, key, name)
     return params
 
 

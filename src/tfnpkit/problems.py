@@ -1,24 +1,38 @@
-"""Catalog of total search problems over circuit-encoded collections.
+"""Total search problems over circuit-encoded collections.
 
 Each problem is a relation between an instance (one Boolean circuit plus,
 for some families, auxiliary constants) and a finite list of solution
-clauses.  ``verify`` evaluates the defining clause of a tagged solution
-verbatim, including every threshold side condition, and reports either
+clauses, described once by its ``ProblemSpec`` in ``catalog.SPECS``.  This
+module holds the problem ids, instances and solutions, their text formats
+and random generation, and the readers of the spec table: ``circuit_shape``,
+``witness_names``, ``all_solution_tags``, ``wellformed`` and ``verify``.
+``verify`` evaluates the defining clause of a tagged solution verbatim,
+including every threshold side condition, and reports either
 ``Accepted(tag)`` or ``Rejected(reason)``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from .catalog import (
+    SPECS,
+    Clause,
+    ProblemSpec,
+    clique_size,
+    edges_form_clique,
+    honest_turan_params,
+    star_tree,
+)
 from .circuit import Circuit, Table, from_text as circuit_from_text, to_text as circuit_to_text
 from .encodings import is_spanning_tree
 from .errors import CapabilityError, DomainError, ParseError
-from .numerics import BitString, binomial, ceil_log2
+from .numerics import BitString
 
 __all__ = [
     "PROBLEM_NAMES",
@@ -26,12 +40,17 @@ __all__ = [
     "ProblemInstance",
     "Solution",
     "Verdict",
+    "all_solution_tags",
     "circuit_shape",
+    "clique_size",
     "edges_form_clique",
     "gen_random_instance",
+    "honest_turan_params",
     "instance_from_text",
     "instance_to_text",
     "is_spanning_tree",
+    "make_solution",
+    "random_aux",
     "random_table",
     "solution_from_text",
     "star_tree",
@@ -44,28 +63,7 @@ __all__ = [
 
 GEN_WIDTH_CAP = 20
 
-PROBLEM_NAMES = (
-    "weak_pigeon",
-    "pigeon",
-    "general_pigeon",
-    "weak_ekr",
-    "ekr",
-    "weak_gekr",
-    "gekr",
-    "weak_sperner",
-    "sperner",
-    "weak_cayley",
-    "cayley",
-    "ws",
-    "ws_collisions",
-    "ws_colorful",
-    "weak_mantel",
-    "mantel",
-    "weak_turan",
-    "turan",
-)
-
-_WS_FAMILY = ("ws", "ws_collisions", "ws_colorful")
+PROBLEM_NAMES = tuple(SPECS)
 
 
 @dataclass(frozen=True)
@@ -77,21 +75,20 @@ class ProblemId:
     r: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.name not in PROBLEM_NAMES:
+        spec = SPECS.get(self.name)
+        if spec is None:
             raise DomainError(f"unknown problem {self.name!r}")
-        if self.name in ("weak_gekr", "gekr"):
-            if self.k is None or self.k < 2:
-                raise DomainError(f"{self.name} needs k >= 2, got {self.k}")
-        elif self.name == "general_pigeon":
-            if self.k is None or self.k < 1:
-                raise DomainError(f"general_pigeon needs k >= 1, got {self.k}")
-        elif self.k is not None:
-            raise DomainError(f"{self.name} takes no k parameter")
-        if self.name in ("weak_turan", "turan"):
-            if self.r is None or self.r < 2:
-                raise DomainError(f"{self.name} needs r >= 2, got {self.r}")
-        elif self.r is not None:
-            raise DomainError(f"{self.name} takes no r parameter")
+        for key in ("k", "r"):
+            value = getattr(self, key)
+            if key in spec.params:
+                if value is None or value < spec.params[key]:
+                    raise DomainError(f"{self.name} needs {key} >= {spec.params[key]}, got {value}")
+            elif value is not None:
+                raise DomainError(f"{self.name} takes no {key} parameter")
+
+    @property
+    def spec(self) -> ProblemSpec:
+        return SPECS[self.name]
 
     def __str__(self) -> str:
         parts = [self.name]
@@ -102,49 +99,12 @@ class ProblemId:
         return " ".join(parts)
 
 
-def _min_n(pid: ProblemId) -> int:
-    if pid.name in ("weak_ekr", "ekr", "weak_gekr", "gekr", "weak_sperner", "sperner"):
-        return 2
-    if pid.name in ("weak_cayley", "cayley"):
-        return 3
-    if pid.name in ("weak_mantel", "mantel", "weak_turan", "turan"):
-        return 2
-    return 1
-
-
 def circuit_shape(pid: ProblemId, n: int) -> tuple[int, int]:
     """(in_width, out_width) of the main circuit demanded by the defining relation."""
-    if n < _min_n(pid):
-        raise DomainError(f"{pid.name} needs n >= {_min_n(pid)}, got {n}")
-    if pid.name == "weak_pigeon":
-        return n + 1, n
-    if pid.name in ("pigeon", "general_pigeon"):
-        return n, n
-    if pid.name == "weak_ekr":
-        return ceil_log2(binomial(2 * n - 1, n - 1)) + 1, 2 * n
-    if pid.name == "ekr":
-        return ceil_log2(binomial(2 * n - 1, n - 1)), 2 * n
-    if pid.name == "weak_gekr":
-        return ceil_log2(binomial(pid.k * n - 1, n - 1)) + 1, pid.k * n
-    if pid.name == "gekr":
-        return ceil_log2(binomial(pid.k * n - 1, n - 1)), pid.k * n
-    if pid.name == "weak_sperner":
-        return ceil_log2(binomial(2 * n, n)) + 1, 2 * n
-    if pid.name == "sperner":
-        return ceil_log2(binomial(2 * n, n)), 2 * n
-    if pid.name == "weak_cayley":
-        return ceil_log2(n ** (n - 2)) + 1, binomial(n, 2)
-    if pid.name == "cayley":
-        return ceil_log2(n ** (n - 2)), binomial(n, 2)
-    if pid.name in _WS_FAMILY:
-        return 4 * n, n
-    if pid.name == "weak_mantel":
-        return 2 * n - 1, 2 * n
-    if pid.name == "mantel":
-        return 2 * n - 2, 2 * n
-    if pid.name in ("weak_turan", "turan"):
-        return 2 * n - 1, 2 * n
-    raise DomainError(f"unknown problem {pid.name!r}")
+    spec = pid.spec
+    if n < spec.min_n:
+        raise DomainError(f"{pid.name} needs n >= {spec.min_n}, got {n}")
+    return spec.shape(n, pid.k)
 
 
 @dataclass(frozen=True)
@@ -198,60 +158,21 @@ class Verdict:
         return self.ok
 
 
-def clique_size(r: int) -> int:
-    """Number of edges in a clique on r+1 vertices."""
-    return binomial(r + 1, 2)
+def _clause(pid: ProblemId, tag: str) -> Clause:
+    clause = pid.spec.clauses.get(tag)
+    if clause is None:
+        raise DomainError(f"{pid.name} has no solution type {tag!r}")
+    return clause
 
 
 def witness_names(pid: ProblemId, tag: str) -> tuple[str, ...]:
     """Canonical witness field names for a solution tag, in file and comparison order."""
-    name = pid.name
-    single = ("x",)
-    pair = ("x", "y")
-    if name == "weak_pigeon":
-        table = {"ii": pair}
-    elif name == "pigeon":
-        table = {"i": single, "ii": pair}
-    elif name == "general_pigeon":
-        table = {"i": pair, "ii": single}
-    elif name in ("weak_ekr", "weak_gekr"):
-        table = {"i": single, "ii": pair, "iii": pair}
-    elif name in ("ekr", "gekr"):
-        table = {"i": single, "ii": pair, "iii": pair, "iv": single}
-    elif name == "weak_sperner":
-        table = {"i": pair}
-    elif name == "sperner":
-        table = {"i": pair, "ii": single}
-    elif name == "weak_cayley":
-        table = {"i": single, "ii": pair}
-    elif name == "cayley":
-        table = {"i": single, "ii": pair, "iii": single}
-    elif name in _WS_FAMILY:
-        table = {"i": (), "ii": pair, "iii": ("x", "y", "z")}
-        if name != "ws":
-            table["iv"] = ("x", "y", "z", "x2", "y2", "z2")
-    elif name == "weak_mantel":
-        table = {"i": ("i", "j", "k"), "ii": ("i",), "iii": ("i", "j")}
-    elif name == "mantel":
-        table = {"i": ("i", "j", "k"), "ii": ("i",), "iii": ("i", "j"), "iv": ("i",)}
-    elif name == "weak_turan":
-        clique = tuple(f"i{t}" for t in range(1, clique_size(pid.r) + 1))
-        table = {"i": clique, "ii": ("i",), "iii": ("i", "j")}
-    elif name == "turan":
-        clique = tuple(f"i{t}" for t in range(1, clique_size(pid.r) + 1))
-        table = {
-            "i": (),
-            "ii": ("i",),
-            "iii": clique,
-            "iv": ("i",),
-            "v": ("i", "j"),
-            "vi": ("i",),
-        }
-    else:
-        raise DomainError(f"unknown problem {name!r}")
-    if tag not in table:
-        raise DomainError(f"{name} has no solution type {tag!r}")
-    return table[tag]
+    return _clause(pid, tag).names(pid)
+
+
+def all_solution_tags(pid: ProblemId) -> tuple[str, ...]:
+    """The problem's solution tags in canonical order."""
+    return tuple(pid.spec.clauses)
 
 
 def make_solution(pid: ProblemId, tag: str, *values: BitString) -> Solution:
@@ -281,9 +202,10 @@ def wellformed(inst: ProblemInstance) -> Verdict:
             f"{pid.name} at n={n} needs circuit {want_in}->{want_out}, "
             f"got {c.in_width}->{c.out_width}"
         )
-    if pid.name == "general_pigeon" and pid.k > 2 ** n:
-        return Verdict.rejected(f"general_pigeon k={pid.k} exceeds range 2^{n}")
-    if pid.name in _WS_FAMILY:
+    spec = pid.spec
+    if spec.k_counts_values and pid.k > 2 ** n:
+        return Verdict.rejected(f"{pid.name} k={pid.k} exceeds range 2^{n}")
+    if spec.vertex_pairs:
         if inst.abc is None:
             return Verdict.rejected(f"{pid.name} needs vertex constants a, b, c")
         a, b, cc = inst.abc
@@ -293,9 +215,9 @@ def wellformed(inst: ProblemInstance) -> Verdict:
             return Verdict.rejected("vertex constants a, b, c must be distinct")
     elif inst.abc is not None:
         return Verdict.rejected(f"{pid.name} takes no vertex constants")
-    if pid.name == "turan":
+    if spec.nm:
         if inst.nm is None:
-            return Verdict.rejected("turan needs integers N and M")
+            return Verdict.rejected(f"{pid.name} needs integers N and M")
         if inst.nm[0] < 0 or inst.nm[1] < 0:
             return Verdict.rejected("N and M must be nonnegative")
     elif inst.nm is not None:
@@ -303,340 +225,26 @@ def wellformed(inst: ProblemInstance) -> Verdict:
     return Verdict.accepted("wellformed")
 
 
-# ---------------------------------------------------------------------------
-# clause evaluation
-
-
-def _weight(v: BitString) -> int:
-    return v.weight
-
-
-def _subset(a: BitString, b: BitString) -> bool:
-    return a.value & b.value == a.value
-
-
-def _disjoint(a: BitString, b: BitString) -> bool:
-    return a.value & b.value == 0
-
-
-def _block(k: int, n: int, j: int) -> BitString:
-    # characteristic vector of {jn+1, ..., (j+1)n} inside [kn]
-    return BitString(k * n, ((1 << n) - 1) << (k * n - (j + 1) * n))
-
-
-def star_tree(n: int) -> BitString:
-    # edges (1,2), (1,3), ..., (1,n): the first n-1 positions of the edge bitmap
-    m = binomial(n, 2)
-    return BitString(m, ((1 << (n - 1)) - 1) << (m - (n - 1)))
-
-
-def _edge_halves(out: BitString, n: int) -> tuple[BitString, BitString]:
-    return out[0:n], out[n : 2 * n]
-
-
-def edges_form_clique(
-    r_plus_1: int, edges: Sequence[tuple[BitString, BitString]]
-) -> Optional[frozenset[int]]:
-    """Vertex set when the edge multiset is exactly all pairs over r+1 distinct vertices."""
-    if len(edges) != binomial(r_plus_1, 2):
-        return None
-    seen: set[frozenset[int]] = set()
-    verts: set[int] = set()
-    for u, v in edges:
-        if u.value == v.value:
-            return None
-        pair = frozenset((u.value, v.value))
-        if pair in seen:
-            return None
-        seen.add(pair)
-        verts |= pair
-    if len(verts) != r_plus_1:
-        return None
-    want = {frozenset((a, b)) for a in verts for b in verts if a < b}
-    return frozenset(verts) if seen == want else None
-
-
-class _Clauses:
-    """Per-instance evaluation context shared by the clause checkers."""
-
-    def __init__(self, inst: ProblemInstance):
-        self.inst = inst
-        self.n = inst.n
-        self.c = inst.circuit
-
-    def out(self, x: BitString) -> BitString:
-        return self.c.eval(x)
-
-    def color(self, u: BitString, v: BitString) -> int:
-        """Color value of the edge (u, v): the circuit on u || v."""
-        return self.c.value_at((u.value << v.width) | v.value)
-
-    def edge(self, i: BitString) -> tuple[BitString, BitString]:
-        return _edge_halves(self.c.eval(i), self.n)
-
-
-def _check_clause(ctx: _Clauses, sol: Solution) -> Optional[str]:
-    """None when the clause holds; otherwise the reason it fails."""
-    inst, n = ctx.inst, ctx.n
-    name, tag = inst.pid.name, sol.tag
-    w = dict(sol.witness)
-
-    if name == "weak_pigeon":
-        x, y = w["x"], w["y"]
-        if x.value == y.value:
-            return "witnesses must be distinct"
-        if ctx.out(x) != ctx.out(y):
-            return "outputs differ"
-        return None
-
-    if name == "pigeon":
-        if tag == "i":
-            x = w["x"]
-            if ctx.out(x).value != 0:
-                return "output is not the all-zero string"
-            return None
-        x, y = w["x"], w["y"]
-        if x.value == y.value:
-            return "witnesses must be distinct"
-        if ctx.out(x) != ctx.out(y):
-            return "outputs differ"
-        return None
-
-    if name == "general_pigeon":
-        if tag == "i":
-            x, y = w["x"], w["y"]
-            if x.value == y.value:
-                return "witnesses must be distinct"
-            if ctx.out(x) != ctx.out(y):
-                return "outputs differ"
-            return None
-        if ctx.out(w["x"]).value >= inst.pid.k:
-            return f"output is not among the first {inst.pid.k} values"
-        return None
-
-    if name in ("weak_ekr", "weak_gekr", "ekr", "gekr"):
-        k = inst.pid.k if inst.pid.k is not None else 2
-        tight = name in ("ekr", "gekr")
-        thr = binomial(k * n - 1, n - 1)
-
-        def below(v: BitString) -> bool:
-            return v.value < thr
-
-        if tag == "i":
-            x = w["x"]
-            if tight and not below(x):
-                return f"index must be below {thr}"
-            if _weight(ctx.out(x)) == n:
-                return "set has the allowed size"
-            return None
-        if tag == "ii":
-            x, y = w["x"], w["y"]
-            if x.value == y.value:
-                return "witnesses must be distinct"
-            if tight and not (below(x) and below(y)):
-                return f"indices must be below {thr}"
-            if ctx.out(x) != ctx.out(y):
-                return "sets differ"
-            return None
-        if tag == "iii":
-            x, y = w["x"], w["y"]
-            if tight and not (below(x) and below(y)):
-                return f"indices must be below {thr}"
-            if not _disjoint(ctx.out(x), ctx.out(y)):
-                return "sets intersect"
-            return None
-        # tag == "iv", tight families only
-        x = w["x"]
-        if not below(x):
-            return f"index must be below {thr}"
-        got = ctx.out(x)
-        if name == "ekr":
-            targets = (_block(2, n, 0), _block(2, n, 1))
-        else:
-            targets = tuple(_block(k, n, j) for j in range(k))
-        if got not in targets:
-            return "set is not one of the designated blocks"
-        return None
-
-    if name in ("weak_sperner", "sperner"):
-        thr = binomial(2 * n, n)
-        if tag == "i":
-            x, y = w["x"], w["y"]
-            if x.value == y.value:
-                return "witnesses must be distinct"
-            if name == "sperner" and not (x.value < thr and y.value < thr):
-                return f"indices must be below {thr}"
-            if not _subset(ctx.out(x), ctx.out(y)):
-                return "first set is not contained in the second"
-            return None
-        x = w["x"]
-        if x.value >= thr:
-            return f"index must be below {thr}"
-        if ctx.out(x) != BitString(2 * n, (1 << n) - 1):
-            return "set is not the upper half block"
-        return None
-
-    if name in ("weak_cayley", "cayley"):
-        thr = n ** (n - 2)
-        if tag == "i":
-            x = w["x"]
-            if name == "cayley" and x.value >= thr:
-                return f"index must be below {thr}"
-            if is_spanning_tree(n, ctx.out(x)):
-                return "graph is a spanning tree"
-            return None
-        if tag == "ii":
-            x, y = w["x"], w["y"]
-            if x.value == y.value:
-                return "witnesses must be distinct"
-            if name == "cayley" and x.value >= thr:
-                return f"first index must be below {thr}"
-            if ctx.out(x) != ctx.out(y):
-                return "graphs differ"
-            return None
-        x = w["x"]
-        if x.value >= thr:
-            return f"index must be below {thr}"
-        if ctx.out(x) != star_tree(n):
-            return "graph is not the star rooted at vertex 1"
-        return None
-
-    if name in _WS_FAMILY:
-        a, b, cc = inst.abc
-        if tag == "i":
-            if ctx.color(a, b) != ctx.color(a, cc):
-                return "the two designated edges have different colors"
-            return None
-        if tag == "ii":
-            x, y = w["x"], w["y"]
-            if ctx.color(x, y) == ctx.color(y, x):
-                return "coloring is symmetric on this pair"
-            return None
-        if tag == "iii":
-            x, y, z = w["x"], w["y"], w["z"]
-            if len({x.value, y.value, z.value}) != 3:
-                return "vertices must be distinct"
-            if ctx.color(x, y) != ctx.color(y, z):
-                return "the two designated edges differ in color"
-            if ctx.color(x, y) == ctx.color(x, z):
-                return "triangle is monochromatic"
-            return None
-        # tag == "iv": two triangles with the same color profile
-        x, y, z = w["x"], w["y"], w["z"]
-        x2, y2, z2 = w["x2"], w["y2"], w["z2"]
-        first = {x.value, y.value, z.value}
-        second = {x2.value, y2.value, z2.value}
-        if len(first) != 3 or len(second) != 3:
-            return "each triple must have 3 distinct vertices"
-        if first == second:
-            return "the triangles must be distinct as sets"
-        if ctx.color(x, y) != ctx.color(x2, y2):
-            return "first edge colors differ"
-        if ctx.color(x, z) != ctx.color(x2, z2):
-            return "second edge colors differ"
-        if ctx.color(y, z) != ctx.color(y2, z2):
-            return "third edge colors differ"
-        if name == "ws_colorful":
-            profile = {ctx.color(x, y), ctx.color(x, z), ctx.color(y, z)}
-            if len(profile) != 3:
-                return "first triangle is not trichromatic"
-        return None
-
-    if name in ("weak_mantel", "mantel", "weak_turan", "turan"):
-        r = inst.pid.r if inst.pid.r is not None else 2
-        if name == "turan":
-            big_n, big_m = inst.nm
-            if tag == "i":
-                honest = (
-                    big_n % r == 0
-                    and big_n <= 2 ** n
-                    and big_n + r > 2 ** n
-                    and 2 * r * big_m == (r - 1) * big_n * big_n
-                )
-                if honest:
-                    return "parameters N and M are consistent"
-                return None
-
-            def in_range(i: BitString) -> bool:
-                return i.value < big_m
-
-        else:
-
-            def in_range(i: BitString) -> bool:
-                return True
-
-        if tag == ("iii" if name == "turan" else "i") and name in ("weak_turan", "turan"):
-            idx = [w[f"i{t}"] for t in range(1, clique_size(r) + 1)]
-            if len({i.value for i in idx}) != len(idx):
-                return "indices must be distinct"
-            if not all(in_range(i) for i in idx):
-                return "indices must be below M"
-            if edges_form_clique(r + 1, [ctx.edge(i) for i in idx]) is None:
-                return f"edges do not form a clique on {r + 1} vertices"
-            return None
-        if tag == "i" and name in ("weak_mantel", "mantel"):
-            i, j, kk = w["i"], w["j"], w["k"]
-            if len({i.value, j.value, kk.value}) != 3:
-                return "indices must be distinct"
-            if edges_form_clique(3, [ctx.edge(i), ctx.edge(j), ctx.edge(kk)]) is None:
-                return "edges do not form a triangle"
-            return None
-        if tag == "ii" and name == "turan":
-            i = w["i"]
-            if not in_range(i):
-                return "index must be below M"
-            u, v = ctx.edge(i)
-            if u.value < big_n and v.value < big_n:
-                return "both endpoints are below N"
-            return None
-        if tag == ("iv" if name == "turan" else "ii"):
-            i = w["i"]
-            if not in_range(i):
-                return "index must be below M"
-            u, v = ctx.edge(i)
-            if u.value < v.value:
-                return "endpoints are strictly increasing"
-            return None
-        if tag == ("v" if name == "turan" else "iii"):
-            i, j = w["i"], w["j"]
-            if i.value == j.value:
-                return "indices must be distinct"
-            if not (in_range(i) and in_range(j)):
-                return "indices must be below M"
-            if ctx.out(i) != ctx.out(j):
-                return "edges differ"
-            return None
-        if tag == ("vi" if name == "turan" else "iv"):
-            i = w["i"]
-            if not in_range(i):
-                return "index must be below M"
-            u, v = ctx.edge(i)
-            if v.value != (u.value + 1) % (2 ** n):
-                return "second endpoint is not the successor of the first"
-            return None
-
-    raise DomainError(f"unknown problem {name!r}")
-
-
 def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
     wf = inst.wellformed_verdict
     if not wf:
         return wf
+    pid = inst.pid
     try:
-        names = witness_names(inst.pid, sol.tag)
+        clause = _clause(pid, sol.tag)
     except DomainError as exc:
         return Verdict.rejected(str(exc))
+    names = clause.names(pid)
     got = tuple(key for key, _ in sol.witness)
     if got != names:
         return Verdict.rejected(f"type {sol.tag} needs witnesses {names}, got {got}")
-    # ws-family witnesses are single vertices, half the pair-input width
-    expect_w = 2 * inst.n if inst.pid.name in _WS_FAMILY else inst.in_width
+    expect_w = pid.spec.witness_width(inst.n, inst.in_width)
     for key, value in sol.witness:
         if value.width != expect_w:
             return Verdict.rejected(
                 f"witness {key} has width {value.width}, expected {expect_w}"
             )
-    reason = _check_clause(_Clauses(inst), sol)
+    reason = clause.check(inst, sol.values())
     if reason is None:
         return Verdict.accepted(sol.tag)
     return Verdict.rejected(f"type {sol.tag}: {reason}")
@@ -644,12 +252,6 @@ def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # random instances
-
-
-def honest_turan_params(r: int, n: int) -> tuple[int, int]:
-    big_n = (2 ** n // r) * r
-    big_m = (r - 1) * big_n * big_n // (2 * r)
-    return big_n, big_m
 
 
 def random_table(rng: np.random.Generator, in_w: int, out_w: int) -> Table:
@@ -666,17 +268,23 @@ def gen_random_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
         raise CapabilityError(f"instance input width {in_w} exceeds generation cap {GEN_WIDTH_CAP}")
     rng = np.random.Generator(np.random.PCG64(seed))
     table = random_table(rng, in_w, out_w)
-    abc = None
-    nm = None
-    if pid.name in _WS_FAMILY:
+    return ProblemInstance(pid, n, table, *random_aux(pid, n, rng))
+
+
+def random_aux(pid: ProblemId, n: int, rng: np.random.Generator
+               ) -> tuple[Optional[tuple[BitString, BitString, BitString]], Optional[tuple[int, int]]]:
+    """(abc, nm) for a random instance: three distinct random vertices for a
+    vertex-pair problem, the honest N and M for one that takes them."""
+    abc = nm = None
+    if pid.spec.vertex_pairs:
         while True:
             vals = [int(v) for v in rng.integers(0, 2 ** (2 * n), size=3, dtype=np.uint64)]
             if len(set(vals)) == 3:
                 break
         abc = tuple(BitString(2 * n, v) for v in vals)
-    if pid.name == "turan":
+    if pid.spec.nm:
         nm = honest_turan_params(pid.r, n)
-    return ProblemInstance(pid, n, table, abc=abc, nm=nm)
+    return abc, nm
 
 
 # ---------------------------------------------------------------------------
@@ -710,18 +318,28 @@ def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
     return out
 
 
+# the line boundaries of str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def instance_from_text(text: str) -> ProblemInstance:
-    lines = text.splitlines()
+    """Parse the header lines here and hand the text from the CIRCUIT line
+    on to the circuit parser, which numbers its lines from there."""
     pos = 0
+    lineno = 0
+    start = 0
 
     def next_content() -> tuple[int, str]:
-        nonlocal pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            raise ParseError("unexpected end of instance", len(lines))
-        pos += 1
-        return pos, lines[pos - 1].strip()
+        nonlocal pos, lineno, start
+        while pos < len(text):
+            brk = _LINE_BREAK.search(text, pos)
+            start, end = pos, brk.start() if brk else len(text)
+            pos = brk.end() if brk else len(text)
+            lineno += 1
+            line = text[start:end].strip()
+            if line:
+                return lineno, line
+        raise ParseError("unexpected end of instance", lineno)
 
     lineno, head = next_content()
     if not head.startswith("PROBLEM "):
@@ -762,7 +380,7 @@ def instance_from_text(text: str) -> ProblemInstance:
         lineno, nxt = next_content()
     if not nxt.startswith("CIRCUIT"):
         raise ParseError("expected CIRCUIT block", lineno)
-    circuit = circuit_from_text("\n".join(lines[lineno - 1 :]), start_line=lineno)
+    circuit = circuit_from_text(text[start:], start_line=lineno)
     return ProblemInstance(pid, n, circuit, abc=abc, nm=nm)
 
 
@@ -798,19 +416,3 @@ def solution_from_text(text: str) -> Solution:
         raise ParseError("missing SOLUTION line", 1)
     return Solution(tag, tuple(witness))
 
-
-def all_solution_tags(pid: ProblemId) -> tuple[str, ...]:
-    name = pid.name
-    if name == "weak_pigeon":
-        return ("ii",)
-    if name == "weak_sperner":
-        return ("i",)
-    if name in ("pigeon", "general_pigeon", "weak_cayley", "sperner"):
-        return ("i", "ii")
-    if name in ("weak_ekr", "weak_gekr", "weak_mantel", "weak_turan", "ws", "cayley"):
-        return ("i", "ii", "iii")
-    if name in ("ekr", "gekr", "ws_collisions", "ws_colorful", "mantel"):
-        return ("i", "ii", "iii", "iv")
-    if name == "turan":
-        return ("i", "ii", "iii", "iv", "v", "vi")
-    raise DomainError(f"unknown problem {name!r}")

@@ -15,6 +15,7 @@ are recorded on the returned ``Reduction``.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -1265,9 +1266,9 @@ def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
     )
 
 
-def _lex_shift_circuit(n: int, offset: int) -> Circuit:
+def _lex_shift_circuit(n: int) -> Circuit:
     lex = Builtin("lexpair_encode", n=n)
-    shifted = Compose(ConstOp("add", BitString(2 * n - 1, offset)), lex)
+    shifted = Compose(ConstOp("add", BitString(2 * n - 1, 1)), lex)
     ge = Compose(le_halves(2 * n), swap_halves(2 * n))
     return Piecewise((
         Case(const_circuit(BitString(2 * n - 1, 0), in_width=2 * n), pred=ge),
@@ -1301,32 +1302,23 @@ def _edge_translate(src: ProblemId, inst: ProblemInstance, kind: str,
     return make_solution(src, "iii", x, y)
 
 
-def _build_weak_mantel_to_pigeon(n: int = 2, general: bool = False) -> Reduction:
+def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("weak_mantel")
-    if general:
-        k = 1 << (n - 1)
-        tgt = ProblemId("general_pigeon", k=k)
-        offset = k
-        name = "weak_mantel_to_general_pigeon"
-    else:
-        tgt = ProblemId("pigeon")
-        offset = 1
-        name = "weak_mantel_to_pigeon"
+    tgt = ProblemId("pigeon")
     w = 2 * n - 1
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = Compose(_lex_shift_circuit(n, offset), inst.circuit)
+        cp = Compose(_lex_shift_circuit(n), inst.circuit)
         return ProblemInstance(tgt, w, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        zero_tag = "ii" if general else "i"
-        if sol.tag == zero_tag:
+        if sol.tag == "i":
             return _edge_translate(src, inst, "zero", sol.values())
         return _edge_translate(src, inst, "pair", sol.values())
 
     return Reduction(
-        name=name, index=23, source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n, "general": general},
+        name="weak_mantel_to_pigeon", index=23, source=src, target=tgt,
+        source_n=n, target_n=w, params={"n": n},
         transform=transform, translate=translate,
         note="rank increasing endpoint pairs; decreasing pairs collapse to the low band",
     )
@@ -1436,7 +1428,7 @@ def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
     w = 2 * n - 1
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = Compose(_lex_shift_circuit(n, 1), inst.circuit)
+        cp = Compose(_lex_shift_circuit(n), inst.circuit)
         return ProblemInstance(tgt, w, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
@@ -1488,14 +1480,10 @@ _BUILDERS = {
 
 REDUCTION_NAMES = tuple(sorted(_BUILDERS, key=lambda k: _BUILDERS[k][0]))
 
+# each entry's builder parameters with their defaults, read off its signature
 ENTRY_DEFAULTS = {
-    1: {"n": 2}, 2: {"m": 2}, 3: {"m": 2}, 4: {"n": 2},
-    5: {"m": 2, "k": 3}, 6: {"n": 2, "k": 3}, 7: {"m": 2, "k": 3}, 8: {"n": 2, "k": 3},
-    9: {"n": 2}, 10: {"n": 2}, 11: {"n": 2}, 12: {"n": 2},
-    13: {"n": 3}, 14: {"m": 2}, 15: {"m": 2}, 16: {"n": 3},
-    17: {"m": 2}, 18: {"n": 2}, 19: {"n": 2}, 20: {"n": 5}, 21: {"n": 5},
-    22: {"m": 2}, 23: {"n": 2}, 24: {"m": 2},
-    25: {"n": 2, "r1": 2, "r2": 3}, 26: {"n": 2, "r": 3}, 27: {"n": 5},
+    idx: {p.name: p.default for p in inspect.signature(builder).parameters.values()}
+    for idx, builder in _BUILDERS.values()
 }
 
 

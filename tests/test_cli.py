@@ -111,6 +111,9 @@ def test_gen_parameter_requirements(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "nosuch", "3", "0")
     assert code == 2
+    # a parameter that is not an integer is a parse error, not a traceback
+    code, _, err = run(capsys, "gen", "gekr", "k=x", "2", "0")
+    assert code == 2 and "k='x' is not an integer" in err
 
 
 def test_gen_with_structural_params(capsys, tmp_path):
@@ -167,6 +170,9 @@ def test_reduce_errors(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", "--name", "weak_ekr_to_weak_pigeon",
                        "--in", str(src), "--param", "zz=3")
     assert code == 2 and "zz" in err
+    code, _, err = run(capsys, "reduce", "--name", "weak_ekr_to_weak_pigeon",
+                       "--in", str(src), "--param", "n=x")
+    assert code == 2 and "n='x' is not an integer" in err
     # wrong source problem for the entry
     other = tmp_path / "other.txt"
     run(capsys, "gen", "pigeon", "2", "0", "--out", str(other))

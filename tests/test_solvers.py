@@ -7,6 +7,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from tfnpkit.catalog import _popcount, _tree_mask
 from tfnpkit.circuit import Table, eval_all
 from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
@@ -26,8 +27,6 @@ from tfnpkit.problems import (
 from tfnpkit.solvers import (
     ColoringMatrix,
     SolveBudget,
-    _popcount,
-    _tree_mask,
     brute_force_solve,
     coloring_from_text,
     coloring_to_text,
