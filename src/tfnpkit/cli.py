@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .catalog import SPECS
@@ -37,9 +38,10 @@ from .problems import (
     verify,
 )
 from .reductions import (
-    ENTRY_DEFAULTS,
+    Entry,
     apply as apply_reduction,
     build_reduction,
+    lookup,
     pullback as pullback_reduction,
     registry,
 )
@@ -156,12 +158,15 @@ def _cmd_codec(args) -> int:
 
 
 def _problem_id(name: str, params: dict[str, str]) -> ProblemId:
-    """The problem id from k=/r= tokens; a parameter the problem needs must be given."""
+    """The problem id from its parameter tokens (k= or r=): each parameter the
+    problem has must be given, and no other key may be."""
     spec = SPECS.get(name)
-    needed = spec.params if spec else {}
-    given = {key: _int_param(params, key, name) for key in ("k", "r")
-             if key in params or key in needed}
-    return ProblemId(name, **given)
+    if spec is None:
+        return ProblemId(name)  # raises DomainError naming the unknown problem
+    for key in params:
+        if key not in spec.params:
+            raise ParseError(f"{name} takes no parameter {key!r} (has {sorted(spec.params)})")
+    return ProblemId(name, **{key: _int_param(params, key, name) for key in spec.params})
 
 
 def _cmd_gen(args) -> int:
@@ -203,17 +208,17 @@ def _cmd_solve(args) -> int:
 # reduce / pullback
 
 
-def _find_entry(name: str) -> int:
-    for idx, nm in registry():
-        if nm == name:
-            return idx
-    raise ParseError(f"unknown reduction {name!r}; see `tfnpkit check all` for the registry")
+def _find_entry(name: str) -> Entry:
+    try:
+        return lookup(name)
+    except DomainError:
+        raise ParseError(
+            f"unknown reduction {name!r}; see `tfnpkit check all` for the registry") from None
 
 
 def _entry_params(name: str, inst, overrides: dict[str, str]) -> dict:
     """Builder parameters inferred from the source instance plus overrides."""
-    idx = _find_entry(name)
-    params = dict(ENTRY_DEFAULTS[idx])
+    params = dict(_find_entry(name).defaults)
     for key in params:
         if key in ("n", "m"):
             params[key] = inst.n
@@ -259,17 +264,19 @@ def _cmd_check(args) -> int:
     if args.target == "all":
         picked = registry()
     else:
-        picked = [(_find_entry(args.target), args.target)]
+        picked = [(_find_entry(args.target).index, args.target)]
     all_ok = True
     for idx, name in picked:
+        t0 = time.perf_counter()
         rep = fuzz_soundness(idx, trials=args.trials, seed=args.seed)
+        seconds = time.perf_counter() - t0
         ok = rep["ok"]
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
         print(
             f"entry {idx:2d} {name:32s} {status}  cases={rep['cases']} "
             f"solutions={rep['solutions_checked']} truncated={rep['truncated_cases']} "
-            f"failures={rep['failures']}"
+            f"failures={rep['failures']} seconds={seconds:.2f}"
         )
         if not ok:
             print(f"  first failure: {rep['first_failure']}")

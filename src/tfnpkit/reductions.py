@@ -5,7 +5,17 @@ combinators and codec blocks, with a total solution pull-back that mirrors the
 transform's case analysis.  ``pullback`` verifies the supplied target solution
 before translating it and verifies the translated source solution before
 returning it, so a defect in either direction surfaces as a loud integrity
-failure instead of a silently wrong answer.
+failure, prefixed with the entry's name, instead of a silently wrong answer.
+
+The registry is the ordered table ``ENTRIES``.  To add an entry, write one
+builder ``_build_<name>(<size parameters with defaults>) -> Reduction`` after
+the builder of the previous index and declare it with ``@entry(index)``.  The
+declaration is the only place that holds the entry's index, its name (the
+builder's name without ``_build_``), its default parameters (the builder's
+signature) and, as ``forbidden=``, the target solution tags its image provably
+avoids, which the fuzz harness asserts.  Pull-backs that repeat a case
+analysis (set pairs, doubled domains, chain representatives, trees, guarded
+maps, identity regions, edge ranks) share one helper for it.
 
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
@@ -16,7 +26,9 @@ are recorded on the returned ``Reduction``.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .circuit import (
@@ -60,11 +72,14 @@ from .problems import (
 )
 
 __all__ = [
+    "ENTRIES",
+    "Entry",
     "Reduction",
-    "ENTRY_DEFAULTS",
-    "REDUCTION_NAMES",
     "apply",
+    "build_entry",
     "build_reduction",
+    "entry",
+    "lookup",
     "pullback",
     "registry",
 ]
@@ -74,10 +89,11 @@ _MAX_SIZE_SCAN = 64
 
 @dataclass(frozen=True)
 class Reduction:
-    """A size-instantiated reduction: instance transform plus solution pull-back."""
+    """A size-instantiated reduction: instance transform plus solution pull-back.
 
-    name: str
-    index: int
+    ``name`` and ``index`` come from the entry's registry row.
+    """
+
     source: ProblemId
     target: ProblemId
     source_n: int
@@ -86,6 +102,65 @@ class Reduction:
     transform: Callable[[ProblemInstance], ProblemInstance] = None
     translate: Callable[[ProblemInstance, Solution], Solution] = None
     note: str = ""
+    name: str = ""
+    index: int = 0
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One registry row, written by the entry's ``@entry`` declaration."""
+
+    index: int
+    name: str
+    builder: Callable[..., Reduction]
+    defaults: dict                # builder parameters with their defaults
+    forbidden: tuple[str, ...]    # target tags the image provably avoids
+
+
+ENTRIES: dict[int, Entry] = {}    # by index, declared in index order
+_NAMED: dict[str, Entry] = {}
+
+
+def entry(index: int, forbidden: tuple[str, ...] = ()):
+    """Declare the decorated builder as registry entry ``index``."""
+
+    def declare(builder: Callable[..., Reduction]) -> Callable[..., Reduction]:
+        name = builder.__name__.removeprefix("_build_")
+        if index != len(ENTRIES) + 1 or name in _NAMED:
+            raise ValueError(f"entry {index} {name} is declared out of order or twice")
+        defaults = {p.name: p.default for p in inspect.signature(builder).parameters.values()}
+        ENTRIES[index] = _NAMED[name] = Entry(index, name, builder, defaults, forbidden)
+        return builder
+
+    return declare
+
+
+def lookup(key: int | str) -> Entry:
+    """The registry row with this index or name."""
+    row = (ENTRIES if isinstance(key, int) else _NAMED).get(key)
+    if row is None:
+        raise DomainError(f"unknown reduction {key!r}")
+    return row
+
+
+def _build(row: Entry, params: dict) -> Reduction:
+    return replace(row.builder(**params), name=row.name, index=row.index)
+
+
+def build_reduction(name: str, **params) -> Reduction:
+    return _build(lookup(name), params)
+
+
+def build_entry(index: int, **overrides) -> Reduction:
+    return _build(lookup(index), overrides)
+
+
+def registry() -> list[tuple[int, str]]:
+    return [(row.index, row.name) for row in ENTRIES.values()]
 
 
 def apply(red: Reduction, inst: ProblemInstance) -> ProblemInstance:
@@ -112,7 +187,10 @@ def pullback(red: Reduction, inst: ProblemInstance, sol: Solution,
     check = verify(tgt, sol)
     if not check:
         raise DomainError(f"target solution rejected: {check.reason}")
-    result = red.translate(inst, sol)
+    try:
+        result = red.translate(inst, sol)
+    except IntegrityError as exc:
+        raise IntegrityError(f"{red.name}: {exc}") from exc
     back = verify(inst, result)
     if not back:
         raise IntegrityError(
@@ -172,6 +250,93 @@ def _chain_collision(pid: ProblemId, circuit: Circuit, w_in: int, w_out: int,
     return make_solution(pid, "ii", u, v)
 
 
+def _shrunk_pullback(src: ProblemId, w_in: int, w_out: int):
+    """Pull-back of an image built on the shrink-chain compressor (entries 2,
+    5 and 14): only collisions occur, and each replays to a source collision."""
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        if sol.tag != "ii":
+            raise IntegrityError(f"the compressed image avoids type {sol.tag}")
+        return _chain_collision(src, inst.circuit, w_in, w_out, sol.get("x"), sol.get("y"))
+
+    return translate
+
+
+def _guarded_map_pullback(src: ProblemId, m: int, zero_tag: str, thr: Optional[int] = None):
+    """Pull-back of a pigeon map embedded below 2^m behind a guard (entries 3,
+    7 and 15).
+
+    A ``zero_tag`` witness is a zero of the map and a collision is a collision
+    of the map.  With an overflow band from ``thr`` up, a collision with the
+    band is a zero.
+    """
+    lim = 1 << m
+
+    def zero(c: Circuit, x: BitString) -> Solution:
+        if x.value >= lim or c.value_at(x.value) != 0:
+            raise IntegrityError("zero-rank witness off the zeros of the guarded map")
+        return make_solution(src, "i", _narrow(x, m))
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        if sol.tag == zero_tag:
+            return zero(inst.circuit, sol.get("x"))
+        if sol.tag != "ii":
+            raise IntegrityError(f"the guarded map's image avoids type {sol.tag}")
+        x, y = sol.get("x"), sol.get("y")
+        if thr is not None and y.value >= thr:
+            return zero(inst.circuit, x)
+        if x.value >= lim or y.value >= lim:
+            raise IntegrityError("collision touched the guarded region")
+        return make_solution(src, "ii", _narrow(x, m), _narrow(y, m))
+
+    return translate
+
+
+def _below_identity(thr: int, zero, pair):
+    """Pull-back of a pigeon map that is the identity from rank ``thr`` up
+    (entries 4, 8, 12 and 16).
+
+    Tag i is a zero below ``thr``, pulled back by ``zero(circuit, x)``; any
+    other tag is a collision below ``thr``, pulled back by
+    ``pair(circuit, x, y)``.
+    """
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        x = sol.get("x")
+        if sol.tag == "i":
+            if x.value >= thr:
+                raise IntegrityError("identity region mapped to zero")
+            return zero(inst.circuit, x)
+        y = sol.get("y")
+        if x.value >= thr or y.value >= thr:
+            raise IntegrityError("collision touched the identity region")
+        return pair(inst.circuit, x, y)
+
+    return translate
+
+
+def _lone_set(src: ProblemId, n: int, c: Circuit, x: BitString) -> Solution:
+    """A single set witness: tag i when its image is not an n-set, else iv."""
+    return make_solution(src, "i" if c.eval(x).weight != n else "iv", x)
+
+
+def _same_first(s: BitString, t: BitString) -> bool:
+    return s.bit(0) == t.bit(0)
+
+
+def _set_pair(src: ProblemId, n: int, same_class, c: Circuit,
+              x: BitString, y: BitString) -> Solution:
+    """A rank collision of two set images (entries 1, 4, 6 and 8): an image
+    that is not an n-set gives tag i; otherwise ``same_class`` of the two
+    sets gives ii, and sets of different classes give iii."""
+    sx, sy = c.eval(x), c.eval(y)
+    if sx.weight != n:
+        return make_solution(src, "i", x)
+    if sy.weight != n:
+        return make_solution(src, "i", y)
+    return make_solution(src, "ii" if same_class(sx, sy) else "iii", x, y)
+
+
 def _dispatch_by_first_bit(c_sets: Circuit, m: int) -> Circuit:
     """Rank half-size set images through the cover codec, complementing sets
     that contain the first ground element so both kinds land on low ranks.
@@ -190,10 +355,69 @@ def _dispatch_by_first_bit(c_sets: Circuit, m: int) -> Circuit:
     ))
 
 
+def _doubled_domain(c: Circuit, n: int, w: int) -> Circuit:
+    """Double the w-bit domain of a 2n-bit set map: flag bit w selects the
+    complemented copy."""
+    core = Compose(c, projection(w + 1, range(w)))
+    flag = projection(w + 1, [w])
+    return Piecewise((
+        Case(Compose(not_all(2 * n), core), pred=flag),
+        Case(core, 0, 1 << (w + 1)),
+    ))
+
+
+def _doubled_pair(src: ProblemId, n: int, c: Circuit, w: int,
+                  x: BitString, y: BitString) -> Solution:
+    """An antichain violation on the doubled domain (entries 9 and 11).
+
+    A plain u below a complemented v is a disjoint pair outright (tag iii).
+    Otherwise an image that is not an n-set gives i, and the pair is ii within
+    one copy and iii across the copies.
+    """
+    u, v = x[0:w], y[0:w]
+    bu, bv = x.bit(w), y.bit(w)
+    su, sv = c.eval(u), c.eval(v)
+    if (bu, bv) == (0, 1):
+        return make_solution(src, "iii", u, v)
+    if su.weight != n:
+        return make_solution(src, "i", u)
+    if sv.weight != n:
+        return make_solution(src, "i", v)
+    return make_solution(src, "ii" if bu == bv else "iii", u, v)
+
+
+def _chain_pair(src: ProblemId, factor, c: Circuit, x: BitString, y: BitString) -> Solution:
+    """A collision of chain-representative ranks (entries 10 and 12): both
+    images factor to one matched form, so the lower level is contained in
+    the higher (tag i, lower first)."""
+    fx, kx = factor(c.eval(x))
+    fy, ky = factor(c.eval(y))
+    if fx != fy:
+        raise IntegrityError("representative collision across different matched forms")
+    if kx <= ky:
+        return make_solution(src, "i", x, y)
+    return make_solution(src, "i", y, x)
+
+
+def _tree_pair(src: ProblemId, n: int, c: Circuit, x: BitString, y: BitString) -> Solution:
+    """A rank collision of two edge maps (entries 13 and 16): an image that
+    is not a spanning tree gives tag i; two trees share a rank only when they
+    are equal (tag ii)."""
+    sx, sy = c.eval(x), c.eval(y)
+    if not is_spanning_tree(n, sx):
+        return make_solution(src, "i", x)
+    if not is_spanning_tree(n, sy):
+        return make_solution(src, "i", y)
+    if sx != sy:
+        raise IntegrityError("rank collision on two trees")
+    return make_solution(src, "ii", x, y)
+
+
 # ---------------------------------------------------------------------------
 # entries 1-4: intersecting-family collisions vs pigeonhole
 
 
+@entry(1)
 def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("weak_ekr")
     tgt = ProblemId("weak_pigeon")
@@ -204,24 +428,17 @@ def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
         return ProblemInstance(tgt, alpha - 1, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        x, y = sol.get("x"), sol.get("y")
-        sx, sy = inst.circuit.eval(x), inst.circuit.eval(y)
-        if sx.weight != n:
-            return make_solution(src, "i", x)
-        if sy.weight != n:
-            return make_solution(src, "i", y)
-        if sx.bit(0) == sy.bit(0):
-            return make_solution(src, "ii", x, y)
-        return make_solution(src, "iii", x, y)
+        return _set_pair(src, n, _same_first, inst.circuit, sol.get("x"), sol.get("y"))
 
     return Reduction(
-        name="weak_ekr_to_weak_pigeon", index=1, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=alpha - 1, params={"n": n, "alpha": alpha},
         transform=transform, translate=translate,
         note="rank sets through the cover codec, folding complements onto the same rank",
     )
 
 
+@entry(2, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_ekr")
@@ -239,23 +456,15 @@ def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
         cp = Compose(_cover_decode(n, 2 * n), PadLeft(shrunk, 2))
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        if sol.tag != "ii":
-            raise IntegrityError(
-                f"weak_pigeon_to_weak_ekr: decoded ranks stay below the "
-                f"avoiding-first-element threshold, type {sol.tag} cannot occur"
-            )
-        return _chain_collision(src, inst.circuit, alpha, alpha - 2,
-                                sol.get("x"), sol.get("y"))
-
     return Reduction(
-        name="weak_pigeon_to_weak_ekr", index=2, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "alpha": alpha},
-        transform=transform, translate=translate,
+        transform=transform, translate=_shrunk_pullback(src, alpha, alpha - 2),
         note="shrink the compressor two bits, then decode ranks into disjoint-free sets",
     )
 
 
+@entry(3)
 def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("ekr")
@@ -272,37 +481,15 @@ def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
         cp = Compose(_cover_decode(n, 2 * n), PadLeft(guarded, 1))
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-
-        def low_map(v: int) -> int:
-            return c.value_at(v) if v < (1 << m) else v
-
-        if sol.tag == "iv":
-            x = sol.get("x")
-            if low_map(x.value) != 0:
-                raise IntegrityError("pigeon_to_ekr: extremal set seen off the zero rank")
-            if x.value >= (1 << m):
-                raise IntegrityError("pigeon_to_ekr: zero rank reached from the guarded region")
-            return make_solution(src, "i", _narrow(x, m))
-        if sol.tag == "ii":
-            x, y = sol.get("x"), sol.get("y")
-            if x.value >= (1 << m) or y.value >= (1 << m):
-                raise IntegrityError("pigeon_to_ekr: collision touched the guarded region")
-            return make_solution(src, "ii", _narrow(x, m), _narrow(y, m))
-        raise IntegrityError(
-            f"pigeon_to_ekr: low ranks decode to sets avoiding the first element, "
-            f"type {sol.tag} cannot occur"
-        )
-
     return Reduction(
-        name="pigeon_to_ekr", index=3, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
         note="embed the map below the avoiding-first-element rank threshold",
     )
 
 
+@entry(4)
 def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("ekr")
     tgt = ProblemId("pigeon")
@@ -314,32 +501,12 @@ def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
         cp = Piecewise((Case(ranked, 0, thr), Case(identity(rank_w), 0, 1 << rank_w)))
         return ProblemInstance(tgt, rank_w, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-        if sol.tag == "i":
-            x = sol.get("x")
-            if x.value >= thr:
-                raise IntegrityError("ekr_to_pigeon: identity region mapped to zero")
-            sx = c.eval(x)
-            if sx.weight != n:
-                return make_solution(src, "i", x)
-            return make_solution(src, "iv", x)
-        x, y = sol.get("x"), sol.get("y")
-        if x.value >= thr or y.value >= thr:
-            raise IntegrityError("ekr_to_pigeon: collision touched the identity region")
-        sx, sy = c.eval(x), c.eval(y)
-        if sx.weight != n:
-            return make_solution(src, "i", x)
-        if sy.weight != n:
-            return make_solution(src, "i", y)
-        if sx.bit(0) == sy.bit(0):
-            return make_solution(src, "ii", x, y)
-        return make_solution(src, "iii", x, y)
-
     return Reduction(
-        name="ekr_to_pigeon", index=4, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=rank_w, params={"n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform,
+        translate=_below_identity(thr, partial(_lone_set, src, n),
+                                  partial(_set_pair, src, n, _same_first)),
         note="cover ranks with complement folding; identity off the rank range",
     )
 
@@ -348,6 +515,7 @@ def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
 # entries 5-8: the k-wise variants
 
 
+@entry(5, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_gekr", k=k)
@@ -372,23 +540,15 @@ def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
         cp = Compose(_cover_decode(n, k * n), shifted)
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        if sol.tag != "ii":
-            raise IntegrityError(
-                f"weak_pigeon_to_weak_gekr: shifted ranks all contain the first "
-                f"element, type {sol.tag} cannot occur"
-            )
-        return _chain_collision(src, inst.circuit, gamma + 1, alpha - 1 - a,
-                                sol.get("x"), sol.get("y"))
-
     return Reduction(
-        name="weak_pigeon_to_weak_gekr", index=5, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "k": k, "n": n, "shift": t},
-        transform=transform, translate=translate,
+        transform=transform, translate=_shrunk_pullback(src, gamma + 1, alpha - 1 - a),
         note="shift shrunk ranks into the top band whose sets share the first element",
     )
 
 
+@entry(6)
 def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
     src = ProblemId("weak_gekr", k=k)
     tgt = ProblemId("weak_pigeon")
@@ -399,24 +559,17 @@ def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
         return ProblemInstance(tgt, gamma, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        x, y = sol.get("x"), sol.get("y")
-        sx, sy = inst.circuit.eval(x), inst.circuit.eval(y)
-        if sx.weight != n:
-            return make_solution(src, "i", x)
-        if sy.weight != n:
-            return make_solution(src, "i", y)
-        if sx == sy:
-            return make_solution(src, "ii", x, y)
-        return make_solution(src, "iii", x, y)
+        return _set_pair(src, n, operator.eq, inst.circuit, sol.get("x"), sol.get("y"))
 
     return Reduction(
-        name="weak_gekr_to_weak_pigeon", index=6, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=gamma, params={"n": n, "k": k},
         transform=transform, translate=translate,
         note="classify sets by their partition class; distinct blocks of one class are disjoint",
     )
 
 
+@entry(7)
 def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("gekr", k=k)
@@ -440,35 +593,15 @@ def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
         cp = Compose(_cover_decode(n, k * n), ranked)
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-
-        def low_map(v: int) -> int:
-            return c.value_at(v) if v < (1 << m) else v
-
-        if sol.tag == "iv":
-            x = sol.get("x")
-            if low_map(x.value) != 0 or x.value >= (1 << m):
-                raise IntegrityError("pigeon_to_gekr: canonical block seen off the top rank")
-            return make_solution(src, "i", _narrow(x, m))
-        if sol.tag == "ii":
-            x, y = sol.get("x"), sol.get("y")
-            if x.value >= (1 << m) or y.value >= (1 << m):
-                raise IntegrityError("pigeon_to_gekr: collision touched the guarded region")
-            return make_solution(src, "ii", _narrow(x, m), _narrow(y, m))
-        raise IntegrityError(
-            f"pigeon_to_gekr: top ranks decode to sets containing the first "
-            f"element, type {sol.tag} cannot occur"
-        )
-
     return Reduction(
-        name="pigeon_to_gekr", index=7, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "k": k, "n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
         note="reflect the map onto top ranks so every image contains the first element",
     )
 
 
+@entry(8)
 def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
     src = ProblemId("gekr", k=k)
     tgt = ProblemId("pigeon")
@@ -480,32 +613,12 @@ def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
         cp = Piecewise((Case(classed, 0, thr), Case(identity(gamma), 0, 1 << gamma)))
         return ProblemInstance(tgt, gamma, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-        if sol.tag == "i":
-            x = sol.get("x")
-            if x.value >= thr:
-                raise IntegrityError("gekr_to_pigeon: identity region mapped to zero")
-            sx = c.eval(x)
-            if sx.weight != n:
-                return make_solution(src, "i", x)
-            return make_solution(src, "iv", x)
-        x, y = sol.get("x"), sol.get("y")
-        if x.value >= thr or y.value >= thr:
-            raise IntegrityError("gekr_to_pigeon: collision touched the identity region")
-        sx, sy = c.eval(x), c.eval(y)
-        if sx.weight != n:
-            return make_solution(src, "i", x)
-        if sy.weight != n:
-            return make_solution(src, "i", y)
-        if sx == sy:
-            return make_solution(src, "ii", x, y)
-        return make_solution(src, "iii", x, y)
-
     return Reduction(
-        name="gekr_to_pigeon", index=8, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=gamma, params={"n": n, "k": k, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform,
+        translate=_below_identity(thr, partial(_lone_set, src, n),
+                                  partial(_set_pair, src, n, operator.eq)),
         note="partition classes below the class count; class zero is the canonical partition",
     )
 
@@ -514,47 +627,27 @@ def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
 # entries 9-12: antichain problems
 
 
+@entry(9)
 def _build_weak_ekr_to_weak_sperner(n: int = 2) -> Reduction:
     src = ProblemId("weak_ekr")
     tgt = ProblemId("weak_sperner")
     alpha = ceil_log2(binomial(2 * n, n))
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
-        core = Compose(inst.circuit, projection(alpha + 1, range(alpha)))
-        flag = projection(alpha + 1, [alpha])
-        cp = Piecewise((
-            Case(Compose(not_all(2 * n), core), pred=flag),
-            Case(core, 0, 1 << (alpha + 1)),
-        ))
-        return ProblemInstance(tgt, n, cp)
+        return ProblemInstance(tgt, n, _doubled_domain(inst.circuit, n, alpha))
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        x, y = sol.get("x"), sol.get("y")
-        u, bu = x[0:alpha], x.bit(alpha)
-        v, bv = y[0:alpha], y.bit(alpha)
-        su, sv = inst.circuit.eval(u), inst.circuit.eval(v)
-        if bu == bv:
-            if su.weight != n:
-                return make_solution(src, "i", u)
-            if sv.weight != n:
-                return make_solution(src, "i", v)
-            return make_solution(src, "ii", u, v)
-        if bu == 0:
-            return make_solution(src, "iii", u, v)
-        if su.weight != n:
-            return make_solution(src, "i", u)
-        if sv.weight != n:
-            return make_solution(src, "i", v)
-        return make_solution(src, "iii", u, v)
+        return _doubled_pair(src, n, inst.circuit, alpha, sol.get("x"), sol.get("y"))
 
     return Reduction(
-        name="weak_ekr_to_weak_sperner", index=9, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=n, params={"n": n},
         transform=transform, translate=translate,
         note="double the domain; the flag bit selects the complemented copy",
     )
 
 
+@entry(10)
 def _build_weak_sperner_to_weak_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("weak_sperner")
     tgt = ProblemId("weak_pigeon")
@@ -566,27 +659,17 @@ def _build_weak_sperner_to_weak_pigeon(n: int = 2) -> Reduction:
         return ProblemInstance(tgt, alpha, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        x, y = sol.get("x"), sol.get("y")
-        sx, sy = inst.circuit.eval(x), inst.circuit.eval(y)
-        fx, kx = catalan_factorize(sx)
-        fy, ky = catalan_factorize(sy)
-        if fx != fy:
-            raise IntegrityError(
-                "weak_sperner_to_weak_pigeon: representative collision across "
-                "different matched forms"
-            )
-        if kx <= ky:
-            return make_solution(src, "i", x, y)
-        return make_solution(src, "i", y, x)
+        return _chain_pair(src, catalan_factorize, inst.circuit, sol.get("x"), sol.get("y"))
 
     return Reduction(
-        name="weak_sperner_to_weak_pigeon", index=10, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=alpha, params={"n": n},
         transform=transform, translate=translate,
         note="rank the symmetric-chain representative; same chain yields containment",
     )
 
 
+@entry(11)
 def _build_ekr_to_sperner(n: int = 2) -> Reduction:
     src = ProblemId("ekr")
     tgt = ProblemId("sperner")
@@ -594,51 +677,26 @@ def _build_ekr_to_sperner(n: int = 2) -> Reduction:
     thr = binomial(2 * n - 1, n - 1)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
-        core = Compose(inst.circuit, projection(rank_w + 1, range(rank_w)))
-        flag = projection(rank_w + 1, [rank_w])
-        cp = Piecewise((
-            Case(Compose(not_all(2 * n), core), pred=flag),
-            Case(core, 0, 1 << (rank_w + 1)),
-        ))
-        return ProblemInstance(tgt, n, cp)
+        return ProblemInstance(tgt, n, _doubled_domain(inst.circuit, n, rank_w))
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
+        x = sol.get("x")
         if sol.tag == "ii":
-            x = sol.get("x")
-            u, bu = x[0:rank_w], x.bit(rank_w)
+            u = x[0:rank_w]
             if u.value >= thr:
-                raise IntegrityError("ekr_to_sperner: witness outside the doubled domain")
-            su = c.eval(u)
-            if su.weight != n:
-                return make_solution(src, "i", u)
-            return make_solution(src, "iv", u)
-        x, y = sol.get("x"), sol.get("y")
-        u, bu = x[0:rank_w], x.bit(rank_w)
-        v, bv = y[0:rank_w], y.bit(rank_w)
-        su, sv = c.eval(u), c.eval(v)
-        if bu == bv:
-            if su.weight != n:
-                return make_solution(src, "i", u)
-            if sv.weight != n:
-                return make_solution(src, "i", v)
-            return make_solution(src, "ii", u, v)
-        if bu == 0:
-            return make_solution(src, "iii", u, v)
-        if su.weight != n:
-            return make_solution(src, "i", u)
-        if sv.weight != n:
-            return make_solution(src, "i", v)
-        return make_solution(src, "iii", u, v)
+                raise IntegrityError("witness outside the doubled domain")
+            return _lone_set(src, n, inst.circuit, u)
+        return _doubled_pair(src, n, inst.circuit, rank_w, x, sol.get("y"))
 
     return Reduction(
-        name="ekr_to_sperner", index=11, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=n, params={"n": n, "threshold": thr},
         transform=transform, translate=translate,
         note="tight-width domain doubling with a complemented upper copy",
     )
 
 
+@entry(12)
 def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("sperner")
     tgt = ProblemId("pigeon")
@@ -652,35 +710,16 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
         cp = Piecewise((Case(ranked, 0, thr), Case(identity(w), 0, 1 << w)))
         return ProblemInstance(tgt, w, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-
-        def conj_factor(v: BitString):
-            h1, h2 = _halves(v)
-            return catalan_factorize(h2.concat(h1))
-
-        if sol.tag == "i":
-            x = sol.get("x")
-            if x.value >= thr:
-                raise IntegrityError("sperner_to_pigeon: identity region mapped to zero")
-            return make_solution(src, "ii", x)
-        x, y = sol.get("x"), sol.get("y")
-        if x.value >= thr or y.value >= thr:
-            raise IntegrityError("sperner_to_pigeon: collision touched the identity region")
-        fx, kx = conj_factor(c.eval(x))
-        fy, ky = conj_factor(c.eval(y))
-        if fx != fy:
-            raise IntegrityError(
-                "sperner_to_pigeon: representative collision across different matched forms"
-            )
-        if kx <= ky:
-            return make_solution(src, "i", x, y)
-        return make_solution(src, "i", y, x)
+    def conj_factor(v: BitString):
+        h1, h2 = _halves(v)
+        return catalan_factorize(h2.concat(h1))
 
     return Reduction(
-        name="sperner_to_pigeon", index=12, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform,
+        translate=_below_identity(thr, lambda c, x: make_solution(src, "ii", x),
+                                  partial(_chain_pair, src, conj_factor)),
         note="conjugated chain representative; zero rank forces the bottom extremal set",
     )
 
@@ -689,6 +728,7 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
 # entries 13-16: labeled-tree problems
 
 
+@entry(13)
 def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
     src = ProblemId("weak_cayley")
     tgt = ProblemId("weak_pigeon")
@@ -699,24 +739,17 @@ def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
         return ProblemInstance(tgt, beta, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        x, y = sol.get("x"), sol.get("y")
-        sx, sy = inst.circuit.eval(x), inst.circuit.eval(y)
-        if not is_spanning_tree(n, sx):
-            return make_solution(src, "i", x)
-        if not is_spanning_tree(n, sy):
-            return make_solution(src, "i", y)
-        if sx != sy:
-            raise IntegrityError("weak_cayley_to_weak_pigeon: rank collision on two trees")
-        return make_solution(src, "ii", x, y)
+        return _tree_pair(src, n, inst.circuit, sol.get("x"), sol.get("y"))
 
     return Reduction(
-        name="weak_cayley_to_weak_pigeon", index=13, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=beta, params={"n": n},
         transform=transform, translate=translate,
         note="rank edge maps through the tree codec; non-trees clamp to rank zero",
     )
 
 
+@entry(14, forbidden=("i",))
 def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_cayley")
@@ -732,23 +765,15 @@ def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
         cp = Compose(Builtin("prufer_decode", n=n), PadLeft(shrunk, 1))
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        if sol.tag != "ii":
-            raise IntegrityError(
-                "weak_pigeon_to_weak_cayley: every image decodes a valid tree, "
-                f"type {sol.tag} cannot occur"
-            )
-        return _chain_collision(src, inst.circuit, beta + 1, beta - 1,
-                                sol.get("x"), sol.get("y"))
-
     return Reduction(
-        name="weak_pigeon_to_weak_cayley", index=14, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "beta": beta},
-        transform=transform, translate=translate,
+        transform=transform, translate=_shrunk_pullback(src, beta + 1, beta - 1),
         note="shrink one bit and decode low tree ranks; images are always trees",
     )
 
 
+@entry(15)
 def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("cayley")
@@ -769,38 +794,15 @@ def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
         ))
         return ProblemInstance(tgt, n, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-
-        def guarded_val(v: int) -> int:
-            return c.value_at(v) if v < (1 << m) else v
-
-        if sol.tag == "iii":
-            x = sol.get("x")
-            if guarded_val(x.value) != 0 or x.value >= (1 << m):
-                raise IntegrityError("pigeon_to_cayley: star tree seen off the zero rank")
-            return make_solution(src, "i", _narrow(x, m))
-        if sol.tag == "ii":
-            x, y = sol.get("x"), sol.get("y")
-            if y.value >= thr:
-                if guarded_val(x.value) != 0 or x.value >= (1 << m):
-                    raise IntegrityError("pigeon_to_cayley: star collision off the zero rank")
-                return make_solution(src, "i", _narrow(x, m))
-            if x.value >= (1 << m) or y.value >= (1 << m):
-                raise IntegrityError("pigeon_to_cayley: collision touched the guarded region")
-            return make_solution(src, "ii", _narrow(x, m), _narrow(y, m))
-        raise IntegrityError(
-            f"pigeon_to_cayley: every image is a valid tree, type {sol.tag} cannot occur"
-        )
-
     return Reduction(
-        name="pigeon_to_cayley", index=15, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform, translate=_guarded_map_pullback(src, m, "iii", thr),
         note="decode guarded ranks as trees; the overflow band pins the star tree",
     )
 
 
+@entry(16)
 def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
     src = ProblemId("cayley")
     tgt = ProblemId("pigeon")
@@ -812,40 +814,24 @@ def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
         cp = Piecewise((Case(ranked, 0, thr), Case(identity(beta), 0, 1 << beta)))
         return ProblemInstance(tgt, beta, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        c = inst.circuit
-        if sol.tag == "i":
-            x = sol.get("x")
-            if x.value >= thr:
-                raise IntegrityError("cayley_to_pigeon: identity region mapped to zero")
-            sx = c.eval(x)
-            if not is_spanning_tree(n, sx):
-                return make_solution(src, "i", x)
-            if sx != star_tree(n):
-                raise IntegrityError("cayley_to_pigeon: tree off the zero rank mapped to zero")
-            return make_solution(src, "iii", x)
-        x, y = sol.get("x"), sol.get("y")
-        if x.value >= thr or y.value >= thr:
-            raise IntegrityError("cayley_to_pigeon: collision touched the identity region")
-        sx, sy = c.eval(x), c.eval(y)
+    def zero(c: Circuit, x: BitString) -> Solution:
+        sx = c.eval(x)
         if not is_spanning_tree(n, sx):
             return make_solution(src, "i", x)
-        if not is_spanning_tree(n, sy):
-            return make_solution(src, "i", y)
-        if sx != sy:
-            raise IntegrityError("cayley_to_pigeon: rank collision on two trees")
-        return make_solution(src, "ii", x, y)
+        if sx != star_tree(n):
+            raise IntegrityError("tree off the zero rank mapped to zero")
+        return make_solution(src, "iii", x)
 
     return Reduction(
-        name="cayley_to_pigeon", index=16, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=beta, params={"n": n, "threshold": thr},
-        transform=transform, translate=translate,
+        transform=transform, translate=_below_identity(thr, zero, partial(_tree_pair, src, n)),
         note="tree ranks below the tree count; rank zero names the star tree",
     )
 
 
 # ---------------------------------------------------------------------------
-# entries 17-21, 27: symmetric colorings and triangle search
+# entries 17-21: symmetric colorings and triangle search
 
 
 def _ws_abc(n: int) -> tuple[BitString, BitString, BitString]:
@@ -856,6 +842,7 @@ def _sorted_cat(u: BitString, v: BitString) -> BitString:
     return u.concat(v) if u.value <= v.value else v.concat(u)
 
 
+@entry(17, forbidden=("ii",))
 def _build_weak_pigeon_to_ws_collisions(m: int = 2) -> Reduction:
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("ws_collisions")
@@ -884,58 +871,50 @@ def _build_weak_pigeon_to_ws_collisions(m: int = 2) -> Reduction:
                 e1, e2 = _sorted_cat(u, v), _sorted_cat(p, q)
                 if e1 != e2:
                     return _chain_collision(src, inst.circuit, 4 * n, n, e1, e2)
-            raise IntegrityError(
-                "weak_pigeon_to_ws_collisions: matching triangles share every edge"
-            )
-        raise IntegrityError(
-            "weak_pigeon_to_ws_collisions: the built coloring is symmetric, "
-            "type ii cannot occur"
-        )
+            raise IntegrityError("matching triangles share every edge")
+        raise IntegrityError("the built coloring is symmetric, type ii cannot occur")
 
     return Reduction(
-        name="weak_pigeon_to_ws_collisions", index=17, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m},
         transform=transform, translate=translate,
         note="symmetrized chain compressor colors pairs; any solution yields a chain collision",
     )
 
 
+def _identity_entry(src_name: str, tgt_name: str, n: int, note: str) -> Reduction:
+    """Entries 18 and 19: the instance carries over unchanged, and so does
+    every target solution."""
+    src = ProblemId(src_name)
+    tgt = ProblemId(tgt_name)
+
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        return ProblemInstance(tgt, n, inst.circuit, abc=inst.abc)
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        return make_solution(src, sol.tag, *sol.values())
+
+    return Reduction(
+        source=src, target=tgt,
+        source_n=n, target_n=n, params={"n": n},
+        transform=transform, translate=translate, note=note,
+    )
+
+
+@entry(18)
 def _build_ws_collisions_to_ws_colorful(n: int = 2) -> Reduction:
-    src = ProblemId("ws_collisions")
-    tgt = ProblemId("ws_colorful")
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        return ProblemInstance(tgt, n, inst.circuit, abc=inst.abc)
-
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return make_solution(src, sol.tag, *sol.values())
-
-    return Reduction(
-        name="ws_collisions_to_ws_colorful", index=18, source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n},
-        transform=transform, translate=translate,
-        note="identity on instances; colorful matching-triangle witnesses also match plainly",
-    )
+    return _identity_entry("ws_collisions", "ws_colorful", n,
+                           "identity on instances; colorful matching-triangle witnesses "
+                           "also match plainly")
 
 
+@entry(19)
 def _build_ws_colorful_to_ws(n: int = 2) -> Reduction:
-    src = ProblemId("ws_colorful")
-    tgt = ProblemId("ws")
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        return ProblemInstance(tgt, n, inst.circuit, abc=inst.abc)
-
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return make_solution(src, sol.tag, *sol.values())
-
-    return Reduction(
-        name="ws_colorful_to_ws", index=19, source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n},
-        transform=transform, translate=translate,
-        note="identity on instances; the three shared solution types carry over",
-    )
+    return _identity_entry("ws_colorful", "ws", n,
+                           "identity on instances; the three shared solution types carry over")
 
 
+@entry(20)
 def _build_ws_collisions_to_weak_pigeon(n: int = 5) -> Reduction:
     if n < 5:
         raise CapabilityError("padding prefixes need n >= 5 to keep endpoints distinct")
@@ -974,7 +953,7 @@ def _build_ws_collisions_to_weak_pigeon(n: int = 5) -> Reduction:
         return make_solution(src, "iv", zero, ya, za, zero, yb, zb)
 
     return Reduction(
-        name="ws_collisions_to_weak_pigeon", index=20, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=3 * n, params={"n": n},
         transform=transform, translate=translate,
         note="three prefix-tagged color probes; a probe collision matches two triangles",
@@ -1065,6 +1044,30 @@ def _colorings(inst: ProblemInstance):
     return col
 
 
+def _ws_bands(inst: ProblemInstance, anchor_values: tuple[int, int, int]):
+    """Probe circuits of the band layouts of entries 21 and 27.
+
+    Returns the cases that send the anchors a, b, c to ``anchor_values``, a
+    vertex's color toward a, the lexpair rank of its colors toward b and c,
+    and the predicate that both of those colors equal col(b, c).
+    """
+    a, b, c = inst.abc
+    w = a.width
+    n = w // 2
+    colxa, colxb, colxc = (Compose(inst.circuit, append_const(w, v)) for v in inst.abc)
+    anchors = tuple(
+        Case(const_circuit(BitString(w, val), in_width=w), pred=eq_const(w, v.value))
+        for v, val in zip(inst.abc, anchor_values)
+    )
+    uniform = Compose(_and2(), fanout([
+        Compose(eq_halves(2 * n), fanout([colxb, colxc])),
+        Compose(eq_const(n, _colorings(inst)(b, c)), colxb),
+    ]))
+    ranked = Compose(Builtin("lexpair_encode", n=n), fanout([colxb, colxc]))
+    return anchors, colxa, ranked, uniform
+
+
+@entry(21)
 def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
     if n < 5:
         raise CapabilityError("image bands of the pair ranking overlap below n = 5")
@@ -1073,31 +1076,11 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
     w = 2 * n
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
-        a, b, c = inst.abc
-        col = _colorings(inst)
-        cx = inst.circuit
-        colxa = Compose(cx, append_const(w, a))
-        colxb = Compose(cx, append_const(w, b))
-        colxc = Compose(cx, append_const(w, c))
-        va = 7 << (w - 4)
-        vb = 1 << (w - 2)
-        vc = 3 << (w - 3)
-        pred4 = Compose(_and2(), fanout([
-            Compose(eq_halves(2 * n), fanout([colxb, colxc])),
-            Compose(eq_const(n, col(b, c)), colxb),
-        ]))
+        anchors, colxa, ranked, uniform = _ws_bands(
+            inst, (7 << (w - 4), 1 << (w - 2), 3 << (w - 3)))
         branch4 = Compose(prepend_const(n, BitString(n, (1 << (n - 1)) - 1)), colxa)
-        branch5 = Compose(
-            prepend_const(w - 1, BitString(1, 1)),
-            Compose(Builtin("lexpair_encode", n=n), fanout([colxb, colxc])),
-        )
-        cp = Piecewise((
-            Case(const_circuit(BitString(w, va), in_width=w), pred=eq_const(w, a.value)),
-            Case(const_circuit(BitString(w, vb), in_width=w), pred=eq_const(w, b.value)),
-            Case(const_circuit(BitString(w, vc), in_width=w), pred=eq_const(w, c.value)),
-            Case(branch4, pred=pred4),
-            Case(branch5, 0, 1 << w),
-        ))
+        branch5 = Compose(prepend_const(w - 1, BitString(1, 1)), ranked)
+        cp = Piecewise((*anchors, Case(branch4, pred=uniform), Case(branch5, 0, 1 << w)))
         return ProblemInstance(tgt, w, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
@@ -1106,131 +1089,31 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
         if col(a, b) == col(a, c):
             return make_solution(src, "i")
         if sol.tag == "i":
-            raise IntegrityError("ws_colorful_to_pigeon: the image avoids zero")
+            raise IntegrityError("the image avoids zero")
         x, y = sol.get("x"), sol.get("y")
         case_x = _ws_case_of(col, a, b, c, x)
         case_y = _ws_case_of(col, a, b, c, y)
         if case_x != case_y or case_x in (1, 2, 3):
-            raise IntegrityError(
-                "ws_colorful_to_pigeon: collision across distinct image bands"
-            )
+            raise IntegrityError("collision across distinct image bands")
         if case_x == 4:
             if col(x, a) != col(y, a):
-                raise IntegrityError("ws_colorful_to_pigeon: unequal probes in the uniform band")
+                raise IntegrityError("unequal probes in the uniform band")
             return _case4_collision(src, col, a, b, c, x, y)
         return _case5_collision(src, col, a, b, c, x, y)
 
     return Reduction(
-        name="ws_colorful_to_pigeon", index=21, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n},
         transform=transform, translate=translate,
         note="rank each vertex by its colors toward the anchors; bands tile the whole codomain",
     )
 
 
-def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
-    if n < 5:
-        raise CapabilityError("image bands of the pair ranking overlap below n = 5")
-    src = ProblemId("ws_colorful")
-    tgt_k = (1 << (2 * n - 1)) - (1 << (n - 1))
-    tgt = ProblemId("general_pigeon", k=tgt_k)
-    w = 2 * n
-
-    def special_colors(inst: ProblemInstance) -> list[int]:
-        a, b, c = inst.abc
-        col = _colorings(inst)
-        return [col(a, b), col(a, c), col(b, c)]
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        a, b, c = inst.abc
-        cx = inst.circuit
-        colxa = Compose(cx, append_const(w, a))
-        colxb = Compose(cx, append_const(w, b))
-        colxc = Compose(cx, append_const(w, c))
-        specials = sorted(set(special_colors(inst)))
-        rows = []
-        for v in range(1 << n):
-            if v in specials:
-                rows.append(0)
-            else:
-                shift = sum(1 for s in specials if s < v)
-                rows.append(min(v - shift, (1 << n) - 4))
-        ridx = Table(n, n, rows)
-        col_bc = _colorings(inst)(b, c)
-        pred4 = Compose(_and2(), fanout([
-            Compose(eq_halves(2 * n), fanout([colxb, colxc])),
-            Compose(eq_const(n, col_bc), colxb),
-        ]))
-        branch4 = Compose(
-            ConstOp("add", BitString(w, tgt_k + 3)),
-            PadLeft(Compose(ridx, colxa), n),
-        )
-        branch5 = Compose(
-            ConstOp("add", BitString(w, (1 << (2 * n - 1)) + (1 << (n - 1)))),
-            PadLeft(Compose(Builtin("lexpair_encode", n=n), fanout([colxb, colxc])), 1),
-        )
-        cp = Piecewise((
-            Case(const_circuit(BitString(w, tgt_k), in_width=w), pred=eq_const(w, a.value)),
-            Case(const_circuit(BitString(w, tgt_k + 1), in_width=w), pred=eq_const(w, b.value)),
-            Case(const_circuit(BitString(w, tgt_k + 2), in_width=w), pred=eq_const(w, c.value)),
-            Case(branch4, pred=pred4),
-            Case(branch5, 0, 1 << w),
-        ))
-        return ProblemInstance(tgt, w, cp)
-
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        a, b, c = inst.abc
-        col = _colorings(inst)
-        s_ab, s_ac, s_bc = col(a, b), col(a, c), col(b, c)
-        if s_ab == s_ac:
-            return make_solution(src, "i")
-        if s_ab == s_bc:
-            return _tri(src, a, b, c)
-        if s_ac == s_bc:
-            sym = _sym_or_none(src, col, b, c)
-            if sym:
-                return sym
-            return _tri(src, a, c, b)
-        if sol.tag == "ii":
-            raise IntegrityError("ws_colorful_to_general_pigeon: images all sit at or above k")
-        x, y = sol.get("x"), sol.get("y")
-        case_x = _ws_case_of(col, a, b, c, x)
-        case_y = _ws_case_of(col, a, b, c, y)
-        if case_x != case_y or case_x in (1, 2, 3):
-            raise IntegrityError(
-                "ws_colorful_to_general_pigeon: collision across distinct image bands"
-            )
-        if case_x == 4:
-            for wv in (x, y):
-                xi = col(wv, a)
-                if xi == s_ab:
-                    return _tri(src, wv, a, b)
-                if xi == s_ac:
-                    return _tri(src, wv, a, c)
-                if xi == s_bc:
-                    sym = _sym_or_none(src, col, wv, a)
-                    if sym:
-                        return sym
-                    return _tri(src, a, wv, b)
-            if col(x, a) != col(y, a):
-                raise IntegrityError(
-                    "ws_colorful_to_general_pigeon: distinct non-special probes collided"
-                )
-            return _case4_collision(src, col, a, b, c, x, y)
-        return _case5_collision(src, col, a, b, c, x, y)
-
-    return Reduction(
-        name="ws_colorful_to_general_pigeon", index=27, source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n, "k": tgt_k},
-        transform=transform, translate=translate,
-        note="band layout shifted to the top segment so only collisions remain",
-    )
-
-
 # ---------------------------------------------------------------------------
-# entries 22-24, 26: triangle-free and clique-free graph bounds
+# entries 22-26: triangle-free and clique-free graph bounds
 
 
+@entry(22, forbidden=("i", "ii"))
 def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_mantel")
@@ -1248,18 +1131,18 @@ def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         if sol.tag != "iii":
             raise IntegrityError(
-                "weak_pigeon_to_weak_mantel: the bipartite edge map is injective on "
-                f"ordered inputs, type {sol.tag} cannot occur"
+                f"the bipartite edge map is injective on ordered inputs, "
+                f"type {sol.tag} cannot occur"
             )
         i, j = sol.get("i"), sol.get("j")
         yi, yj = i[0:m + 1], j[0:m + 1]
         zi, zj = i[m + 1:w_in], j[m + 1:w_in]
         if zi != zj or yi == yj:
-            raise IntegrityError("weak_pigeon_to_weak_mantel: collision shape mismatch")
+            raise IntegrityError("collision shape mismatch")
         return make_solution(src, "ii", yi, yj)
 
     return Reduction(
-        name="weak_pigeon_to_weak_mantel", index=22, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m},
         transform=transform, translate=translate,
         note="bipartite edge listing; only index collisions are possible and they compress",
@@ -1276,21 +1159,21 @@ def _lex_shift_circuit(n: int) -> Circuit:
     ))
 
 
-def _edge_translate(src: ProblemId, inst: ProblemInstance, kind: str,
-                    values: tuple) -> Solution:
-    """Shared pull-back for the edge-ranking reductions.
+def _edge_translate(inst: ProblemInstance, sol: Solution) -> Solution:
+    """Pull-back of the edge-ranking entries 23 and 26.
 
-    ``kind`` is "zero" for a single witness mapped to rank zero, "pair" for an
-    equal-rank pair.
+    Tag i is a zero of the ranking, which only a non-increasing endpoint pair
+    reaches; a collision holds a non-increasing pair or one increasing pair
+    listed twice.
     """
-    c = inst.circuit
-    if kind == "zero":
-        (x,) = values
+    src, c = inst.pid, inst.circuit
+    if sol.tag == "i":
+        (x,) = sol.values()
         u, v = _halves(c.eval(x))
         if u.value < v.value:
-            raise IntegrityError("edge ranking: zero rank from an increasing pair")
+            raise IntegrityError("zero rank from an increasing pair")
         return make_solution(src, "ii", x)
-    x, y = values
+    x, y = sol.values()
     ux, vx = _halves(c.eval(x))
     uy, vy = _halves(c.eval(y))
     if ux.value >= vx.value:
@@ -1298,10 +1181,11 @@ def _edge_translate(src: ProblemId, inst: ProblemInstance, kind: str,
     if uy.value >= vy.value:
         return make_solution(src, "ii", y)
     if (ux, vx) != (uy, vy):
-        raise IntegrityError("edge ranking: rank collision on distinct increasing pairs")
+        raise IntegrityError("rank collision on distinct increasing pairs")
     return make_solution(src, "iii", x, y)
 
 
+@entry(23)
 def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("weak_mantel")
     tgt = ProblemId("pigeon")
@@ -1311,19 +1195,15 @@ def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
         cp = Compose(_lex_shift_circuit(n), inst.circuit)
         return ProblemInstance(tgt, w, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        if sol.tag == "i":
-            return _edge_translate(src, inst, "zero", sol.values())
-        return _edge_translate(src, inst, "pair", sol.values())
-
     return Reduction(
-        name="weak_mantel_to_pigeon", index=23, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n},
-        transform=transform, translate=translate,
+        transform=transform, translate=_edge_translate,
         note="rank increasing endpoint pairs; decreasing pairs collapse to the low band",
     )
 
 
+@entry(24)
 def _build_pigeon_to_mantel(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt_m = m if m % 2 == 0 else m + 1
@@ -1364,26 +1244,26 @@ def _build_pigeon_to_mantel(m: int = 2) -> Reduction:
         if sol.tag == "iv":
             i = sol.get("i")
             if c1.eval(i).value != 0:
-                raise IntegrityError("pigeon_to_mantel: consecutive pair off the zero preimage")
+                raise IntegrityError("consecutive pair off the zero preimage")
             return make_solution(src, "i", _narrow(i, m))
         if sol.tag == "iii":
             i, j = sol.get("i"), sol.get("j")
             if c1.eval(i) != c1.eval(j):
-                raise IntegrityError("pigeon_to_mantel: edge collision without a map collision")
+                raise IntegrityError("edge collision without a map collision")
             return make_solution(src, "ii", _narrow(i, m), _narrow(j, m))
         raise IntegrityError(
-            f"pigeon_to_mantel: the edge map is bipartite and increasing, "
-            f"type {sol.tag} cannot occur"
+            f"the edge map is bipartite and increasing, type {sol.tag} cannot occur"
         )
 
     return Reduction(
-        name="pigeon_to_mantel", index=24, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n},
         transform=transform, translate=translate,
         note="split the image into bipartite endpoints; zero maps to the consecutive pair",
     )
 
 
+@entry(25)
 def _build_weak_turan_widen(n: int = 2, r1: int = 2, r2: int = 3) -> Reduction:
     if r1 > r2:
         raise CapabilityError("the clique bound can only be widened, need r1 <= r2")
@@ -1409,19 +1289,19 @@ def _build_weak_turan_widen(n: int = 2, r1: int = 2, r2: int = 3) -> Reduction:
         want = (r1 + 1) * r1 // 2
         if len(chosen) != want:
             raise IntegrityError(
-                f"weak_turan widening: expected {want} edges inside the kept corner, "
-                f"found {len(chosen)}"
+                f"expected {want} edges inside the kept corner, found {len(chosen)}"
             )
         return make_solution(src, "i", *chosen)
 
     return Reduction(
-        name="weak_turan_widen", index=25, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=n, params={"n": n, "r1": r1, "r2": r2},
         transform=transform, translate=translate,
         note="a larger forbidden clique is weaker; shrink found cliques to the corner",
     )
 
 
+@entry(26)
 def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
     src = ProblemId("weak_turan", r=r)
     tgt = ProblemId("pigeon")
@@ -1431,77 +1311,94 @@ def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
         cp = Compose(_lex_shift_circuit(n), inst.circuit)
         return ProblemInstance(tgt, w, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        if sol.tag == "i":
-            return _edge_translate(src, inst, "zero", sol.values())
-        return _edge_translate(src, inst, "pair", sol.values())
-
     return Reduction(
-        name="weak_turan_to_pigeon", index=26, source=src, target=tgt,
+        source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n, "r": r},
-        transform=transform, translate=translate,
+        transform=transform, translate=_edge_translate,
         note="same edge ranking as the triangle case; only the source clauses differ",
     )
 
 
 # ---------------------------------------------------------------------------
-# registry
+# entry 27: entry 21's band layout shifted onto general pigeon
 
 
-_BUILDERS = {
-    "weak_ekr_to_weak_pigeon": (1, _build_weak_ekr_to_weak_pigeon),
-    "weak_pigeon_to_weak_ekr": (2, _build_weak_pigeon_to_weak_ekr),
-    "pigeon_to_ekr": (3, _build_pigeon_to_ekr),
-    "ekr_to_pigeon": (4, _build_ekr_to_pigeon),
-    "weak_pigeon_to_weak_gekr": (5, _build_weak_pigeon_to_weak_gekr),
-    "weak_gekr_to_weak_pigeon": (6, _build_weak_gekr_to_weak_pigeon),
-    "pigeon_to_gekr": (7, _build_pigeon_to_gekr),
-    "gekr_to_pigeon": (8, _build_gekr_to_pigeon),
-    "weak_ekr_to_weak_sperner": (9, _build_weak_ekr_to_weak_sperner),
-    "weak_sperner_to_weak_pigeon": (10, _build_weak_sperner_to_weak_pigeon),
-    "ekr_to_sperner": (11, _build_ekr_to_sperner),
-    "sperner_to_pigeon": (12, _build_sperner_to_pigeon),
-    "weak_cayley_to_weak_pigeon": (13, _build_weak_cayley_to_weak_pigeon),
-    "weak_pigeon_to_weak_cayley": (14, _build_weak_pigeon_to_weak_cayley),
-    "pigeon_to_cayley": (15, _build_pigeon_to_cayley),
-    "cayley_to_pigeon": (16, _build_cayley_to_pigeon),
-    "weak_pigeon_to_ws_collisions": (17, _build_weak_pigeon_to_ws_collisions),
-    "ws_collisions_to_ws_colorful": (18, _build_ws_collisions_to_ws_colorful),
-    "ws_colorful_to_ws": (19, _build_ws_colorful_to_ws),
-    "ws_collisions_to_weak_pigeon": (20, _build_ws_collisions_to_weak_pigeon),
-    "ws_colorful_to_pigeon": (21, _build_ws_colorful_to_pigeon),
-    "weak_pigeon_to_weak_mantel": (22, _build_weak_pigeon_to_weak_mantel),
-    "weak_mantel_to_pigeon": (23, _build_weak_mantel_to_pigeon),
-    "pigeon_to_mantel": (24, _build_pigeon_to_mantel),
-    "weak_turan_widen": (25, _build_weak_turan_widen),
-    "weak_turan_to_pigeon": (26, _build_weak_turan_to_pigeon),
-    "ws_colorful_to_general_pigeon": (27, _build_ws_colorful_to_general_pigeon),
-}
+@entry(27)
+def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
+    if n < 5:
+        raise CapabilityError("image bands of the pair ranking overlap below n = 5")
+    src = ProblemId("ws_colorful")
+    tgt_k = (1 << (2 * n - 1)) - (1 << (n - 1))
+    tgt = ProblemId("general_pigeon", k=tgt_k)
+    w = 2 * n
 
-REDUCTION_NAMES = tuple(sorted(_BUILDERS, key=lambda k: _BUILDERS[k][0]))
+    def special_colors(inst: ProblemInstance) -> list[int]:
+        a, b, c = inst.abc
+        col = _colorings(inst)
+        return [col(a, b), col(a, c), col(b, c)]
 
-# each entry's builder parameters with their defaults, read off its signature
-ENTRY_DEFAULTS = {
-    idx: {p.name: p.default for p in inspect.signature(builder).parameters.values()}
-    for idx, builder in _BUILDERS.values()
-}
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        anchors, colxa, ranked, uniform = _ws_bands(inst, (tgt_k, tgt_k + 1, tgt_k + 2))
+        specials = sorted(set(special_colors(inst)))
+        rows = []
+        for v in range(1 << n):
+            if v in specials:
+                rows.append(0)
+            else:
+                shift = sum(1 for s in specials if s < v)
+                rows.append(min(v - shift, (1 << n) - 4))
+        ridx = Table(n, n, rows)
+        branch4 = Compose(
+            ConstOp("add", BitString(w, tgt_k + 3)),
+            PadLeft(Compose(ridx, colxa), n),
+        )
+        branch5 = Compose(
+            ConstOp("add", BitString(w, (1 << (2 * n - 1)) + (1 << (n - 1)))),
+            PadLeft(ranked, 1),
+        )
+        cp = Piecewise((*anchors, Case(branch4, pred=uniform), Case(branch5, 0, 1 << w)))
+        return ProblemInstance(tgt, w, cp)
 
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        a, b, c = inst.abc
+        col = _colorings(inst)
+        s_ab, s_ac, s_bc = col(a, b), col(a, c), col(b, c)
+        if s_ab == s_ac:
+            return make_solution(src, "i")
+        if s_ab == s_bc:
+            return _tri(src, a, b, c)
+        if s_ac == s_bc:
+            sym = _sym_or_none(src, col, b, c)
+            if sym:
+                return sym
+            return _tri(src, a, c, b)
+        if sol.tag == "ii":
+            raise IntegrityError("images all sit at or above k")
+        x, y = sol.get("x"), sol.get("y")
+        case_x = _ws_case_of(col, a, b, c, x)
+        case_y = _ws_case_of(col, a, b, c, y)
+        if case_x != case_y or case_x in (1, 2, 3):
+            raise IntegrityError("collision across distinct image bands")
+        if case_x == 4:
+            for wv in (x, y):
+                xi = col(wv, a)
+                if xi == s_ab:
+                    return _tri(src, wv, a, b)
+                if xi == s_ac:
+                    return _tri(src, wv, a, c)
+                if xi == s_bc:
+                    sym = _sym_or_none(src, col, wv, a)
+                    if sym:
+                        return sym
+                    return _tri(src, a, wv, b)
+            if col(x, a) != col(y, a):
+                raise IntegrityError("distinct non-special probes collided")
+            return _case4_collision(src, col, a, b, c, x, y)
+        return _case5_collision(src, col, a, b, c, x, y)
 
-def build_reduction(name: str, **params) -> Reduction:
-    if name not in _BUILDERS:
-        raise DomainError(f"unknown reduction {name!r}")
-    _, builder = _BUILDERS[name]
-    return builder(**params)
-
-
-def build_entry(index: int, **overrides) -> Reduction:
-    for name, (idx, builder) in _BUILDERS.items():
-        if idx == index:
-            params = dict(ENTRY_DEFAULTS[index])
-            params.update(overrides)
-            return builder(**params)
-    raise DomainError(f"no registry entry {index}")
-
-
-def registry() -> list[tuple[int, str]]:
-    return sorted((idx, name) for name, (idx, _) in _BUILDERS.items())
+    return Reduction(
+        source=src, target=tgt,
+        source_n=n, target_n=w, params={"n": n, "k": tgt_k},
+        transform=transform, translate=translate,
+        note="band layout shifted to the top segment so only collisions remain",
+    )

@@ -36,8 +36,8 @@ from .problems import (
 from .reductions import (
     apply as apply_reduction,
     build_entry,
+    lookup,
     pullback as pullback_reduction,
-    registry,
 )
 
 __all__ = [
@@ -212,23 +212,14 @@ def designed_instances(pid: ProblemId, n: int) -> list[ProblemInstance]:
 # reduction fuzz harness
 
 
-FORBIDDEN_TARGET_TAGS = {
-    2: ("i", "iii"),
-    5: ("i", "iii"),
-    14: ("i",),
-    17: ("ii",),
-    22: ("i", "ii"),
-}
-
-
 def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
                    budget: Optional[SolveBudget] = None,
                    params: Optional[dict] = None) -> dict:
     """Drive one registry entry over designed plus seeded random instances.
 
     Every enumerated target solution is pulled back and re-verified on the
-    source; type purity is asserted for the entries whose image provably
-    avoids certain target solution types.
+    source; type purity is asserted for the target tags the entry's registry
+    row declares ``forbidden``.
 
     Default budget: exhaustive enumeration when the target input width is at
     most 12, except that vertex-pair (ws family) targets are capped per type
@@ -239,18 +230,9 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     cases whose enumeration hit the per-type cap (``truncated_cases``) and
     the failures, with the first failure's message.
     """
-    index = None
-    if isinstance(name_or_index, int):
-        index = name_or_index
-    else:
-        for idx, nm in registry():
-            if nm == name_or_index:
-                index = idx
-                break
-        if index is None:
-            raise DomainError(f"unknown reduction {name_or_index!r}")
-    overrides = dict(params or {})
-    red = build_entry(index, **overrides)
+    row = lookup(name_or_index)
+    index = row.index
+    red = build_entry(index, **(params or {}))
     if budget is None:
         tgt_w, _ = circuit_shape(red.target, red.target_n)
         if tgt_w > 12:
@@ -259,7 +241,7 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
             budget = SolveBudget(max_per_type=2000)
         else:
             budget = SolveBudget(max_per_type=None)
-    forbidden = FORBIDDEN_TARGET_TAGS.get(index, ())
+    forbidden = row.forbidden
 
     designed = designed_instances(red.source, red.source_n)
 

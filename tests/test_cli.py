@@ -4,6 +4,7 @@ Each command is driven through main(argv) in process; one subprocess case
 confirms the installed entry point wires up the same function.
 """
 
+import re
 import subprocess
 import sys
 
@@ -114,6 +115,11 @@ def test_gen_parameter_requirements(capsys):
     # a parameter that is not an integer is a parse error, not a traceback
     code, _, err = run(capsys, "gen", "gekr", "k=x", "2", "0")
     assert code == 2 and "k='x' is not an integer" in err
+    # a key the problem does not take is an error that names the keys it does take
+    code, out, err = run(capsys, "gen", "pigeon", "z=3", "1", "0")
+    assert code == 2 and "no parameter 'z' (has [])" in err and not out
+    code, out, err = run(capsys, "gen", "gekr", "k=3", "r=2", "2", "0")
+    assert code == 2 and "no parameter 'r' (has ['k'])" in err and not out
 
 
 def test_gen_with_structural_params(capsys, tmp_path):
@@ -200,6 +206,7 @@ def test_check_single_entry(capsys):
     assert code == 0
     assert "entry  4 ekr_to_pigeon" in out
     assert "pass" in out and "RESULT: PASS" in out
+    assert re.search(r"failures=0 seconds=\d+\.\d\d\n", out)
 
 
 def test_check_unknown_entry(capsys):
