@@ -10,8 +10,13 @@ the tight variant of a problem restricts witness indices.  A clause gives its
 witness names, a scalar ``check`` that returns the reason a witness tuple
 fails (None when the clause holds), and an array ``scan`` over the instance's
 full output table that yields every accepted witness tuple as ints, first
-witness in [lo, hi), in canonical order.  ``problems`` and ``solvers`` read
-this table; no other module tells problems apart by name.
+witness in [lo, hi), in canonical order.  Its ``check_many`` is the batch
+form of ``check``: a bool mask over an (N, k) int array of witness tuples,
+built from the scan's array predicates and range masks, that reads outputs
+through ``values_at`` (the cached table, or ``apply_many`` on just those
+points).  ``check`` stays the reference and the source of rejection reasons.
+``problems`` and ``solvers`` read this table; no other module tells problems
+apart by name.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .circuit import values_at
 from .encodings import is_spanning_tree
 from .numerics import BitString, binomial, ceil_log2
 
@@ -81,6 +87,12 @@ def edges_form_clique(r_plus_1: int, edges: Sequence[tuple[int, int]]) -> Option
 def _blocks(k: int, n: int) -> list[int]:
     # characteristic vectors of {jn+1, ..., (j+1)n} inside [kn], j < k
     return [((1 << n) - 1) << (k * n - (j + 1) * n) for j in range(k)]
+
+
+def _distinct_per_row(a: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-D array hold pairwise distinct values."""
+    s = np.sort(a, axis=1)
+    return (s[:, 1:] != s[:, :-1]).all(axis=1)
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -279,12 +291,13 @@ class Range:
             return f"index must be below {shown}"
         return f"{'first index' if self.first_only else 'indices'} must be below {shown}"
 
-    def mask(self, inst, size: int) -> np.ndarray:
-        return np.arange(size) < self.limit(inst)
+    def within(self, inst, rows: np.ndarray) -> np.ndarray:
+        """Which rows of an (N, k) array of witness indices pass ``fails``."""
+        return ((rows[:, :1] if self.first_only else rows) < self.limit(inst)).all(axis=1)
 
 
 def _in_range(rng: Optional[Range], inst, size: int) -> Optional[np.ndarray]:
-    return None if rng is None else rng.mask(inst, size)
+    return None if rng is None else rng.within(inst, np.arange(size)[:, None])
 
 
 class Clause:
@@ -299,6 +312,11 @@ class Clause:
         raise NotImplementedError
 
     def scan(self, inst, outs: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        raise NotImplementedError
+
+    def check_many(self, inst, rows: np.ndarray) -> np.ndarray:
+        """Which rows of an (N, k) int array of witness values, each below
+        2**witness_width, pass ``check``."""
         raise NotImplementedError
 
 
@@ -316,6 +334,9 @@ class Pinned(Clause):
     def scan(self, inst, outs, lo, hi):
         if lo == 0 and self.holds(inst):
             yield ()
+
+    def check_many(self, inst, rows):
+        return np.full(len(rows), bool(self.holds(inst)))
 
 
 @dataclass(eq=False)
@@ -341,12 +362,19 @@ class Value(Clause):
             return self.reason.format(k=inst.pid.k)
         return None
 
-    def scan(self, inst, outs, lo, hi):
+    def _ok(self, inst, rows: np.ndarray, outs: np.ndarray) -> np.ndarray:
         ok = (self.mask or self.holds)(inst, outs)
         if self.range is not None:
-            ok = ok & self.range.mask(inst, len(outs))
+            ok = ok & self.range.within(inst, rows)
+        return ok
+
+    def scan(self, inst, outs, lo, hi):
+        ok = self._ok(inst, np.arange(len(outs))[:, None], outs)
         for x in np.flatnonzero(ok[lo:hi]):
             yield (lo + int(x),)
+
+    def check_many(self, inst, rows):
+        return self._ok(inst, rows, values_at(inst.circuit, rows[:, 0]))
 
 
 @dataclass(eq=False)
@@ -389,6 +417,16 @@ class Pair(Clause):
                 y = int(y)
                 if y != x or not self.distinct:
                     yield (x, y)
+
+    def check_many(self, inst, rows):
+        x, y = rows.T
+        ok = np.ones(len(rows), dtype=bool)
+        if self.distinct:
+            ok &= x != y
+        if self.range is not None:
+            ok &= self.range.within(inst, rows)
+        outs = values_at(inst.circuit, rows)
+        return ok & self.rel(outs[:, 0], outs[:, 1])
 
 
 @dataclass(eq=False)
@@ -437,6 +475,20 @@ class Clique(Clause):
         return _clique_solutions(n, outs >> n, outs & ((1 << n) - 1), ok,
                                  self.r or inst.pid.r, lo, hi)
 
+    def check_many(self, inst, rows):
+        # distinct edges without loops on exactly r+1 vertices are all of
+        # them; equal indices give equal edges, so they need no test of their own
+        n = inst.n
+        outs = values_at(inst.circuit, rows)
+        u, v = outs >> n, outs & ((1 << n) - 1)
+        verts = np.sort(np.concatenate([u, v], axis=1), axis=1)
+        n_verts = 1 + (verts[:, 1:] != verts[:, :-1]).sum(axis=1)
+        edges = (np.minimum(u, v) << n) | np.maximum(u, v)
+        ok = (u != v).all(axis=1) & _distinct_per_row(edges) & (n_verts == (self.r or inst.pid.r) + 1)
+        if self.range is not None:
+            ok &= self.range.within(inst, rows)
+        return ok
+
 
 # ws family: the circuit input is a vertex pair u || v and its output the
 # color of that edge, so the output table reshapes into a V x V color matrix.
@@ -444,6 +496,12 @@ class Clique(Clause):
 
 def _color(inst, u: BitString, v: BitString) -> int:
     return inst.circuit.value_at((u.value << v.width) | v.value)
+
+
+def _colors(inst, rows: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Column t holds color(row[i], row[j]) for the t-th (i, j) of pairs."""
+    i, j = np.array(pairs).T
+    return values_at(inst.circuit, (rows[:, i] << (2 * inst.n)) | rows[:, j])
 
 
 def _color_matrix(inst, outs: np.ndarray) -> np.ndarray:
@@ -468,6 +526,10 @@ class Asymmetric(Clause):
         for x in range(lo, min(hi, len(m))):
             for y in np.flatnonzero(asym[x]):
                 yield (x, int(y))
+
+    def check_many(self, inst, rows):
+        c = _colors(inst, rows, ((0, 1), (1, 0)))
+        return c[:, 0] != c[:, 1]
 
 
 class Triangle(Clause):
@@ -497,6 +559,10 @@ class Triangle(Clause):
             cond[ids, ids] = False
             for y, z in np.argwhere(cond):
                 yield (x, int(y), int(z))
+
+    def check_many(self, inst, rows):
+        xy, yz, xz = _colors(inst, rows, ((0, 1), (1, 2), (0, 2))).T
+        return _distinct_per_row(rows) & (xy == yz) & (xy != xz)
 
 
 @dataclass(eq=False)
@@ -555,6 +621,16 @@ class Twins(Clause):
             for t2 in groups[kk]:
                 if (sets[t1] != sets[t2]).any():
                     yield first + tuple(triples[t2].tolist())
+
+    def check_many(self, inst, rows):
+        first, second = rows[:, :3], rows[:, 3:]
+        c = _colors(inst, rows, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        ok = (_distinct_per_row(first) & _distinct_per_row(second)
+              & (np.sort(first, axis=1) != np.sort(second, axis=1)).any(axis=1)
+              & (c[:, :3] == c[:, 3:]).all(axis=1))
+        if self.colorful:
+            ok &= _distinct_per_row(c[:, :3])
+        return ok
 
 
 # ---------------------------------------------------------------------------

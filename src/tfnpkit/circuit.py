@@ -15,7 +15,9 @@ guarded constructions.  ``eval_all`` runs it once over every input value and
 caches the result on the circuit as one read-only int64 array (32 MB at
 in_width 22).  ``Circuit.eval`` and ``Circuit.value_at`` map one input to one
 output: they index that table when the circuit has one, and otherwise run
-the scalar interpreter ``_eval_value`` with a per-circuit memo.  A
+the scalar interpreter ``_eval_value`` with a per-circuit memo.  Their array
+form ``values_at`` indexes the table too, and otherwise runs ``apply_many``
+on just the points asked for, never tabulating the circuit.  A
 ``GateNet`` evaluates on bit-planes: one uint8 array per gate (4 MB at
 in_width 22 rather than 32 MB), with inputs and outputs held in the narrowest
 unsigned dtype until the int64 result is formed.  A ``Table`` keeps its rows
@@ -104,6 +106,18 @@ def apply_many(c: Circuit, xs: np.ndarray) -> np.ndarray:
     if c.in_width > MAX_VECTOR_WIDTH or c.out_width > MAX_VECTOR_WIDTH:
         raise DomainError(f"width beyond vector limit {MAX_VECTOR_WIDTH}")
     return c._apply_many(np.asarray(xs, dtype=np.int64))
+
+
+def values_at(c: Circuit, xs: np.ndarray) -> np.ndarray:
+    """Array form of ``Circuit.value_at``: the cached table indexed at xs when
+    the circuit has one, otherwise ``apply_many`` on these points only, so a
+    wide circuit is never tabulated for a few lookups."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if c._table is not None:
+        return c._table[xs]
+    if not xs.size:
+        return np.zeros(xs.shape, dtype=np.int64)
+    return apply_many(c, xs.ravel()).reshape(xs.shape)
 
 
 def eval_all(c: Circuit) -> np.ndarray:

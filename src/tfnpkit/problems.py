@@ -52,6 +52,7 @@ __all__ = [
     "make_solution",
     "random_aux",
     "random_table",
+    "seeded_rng",
     "solution_from_text",
     "star_tree",
     "solution_to_text",
@@ -254,6 +255,13 @@ def verify(inst: ProblemInstance, sol: Solution) -> Verdict:
 # random instances
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 generator that random instances are drawn from."""
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def random_table(rng: np.random.Generator, in_w: int, out_w: int) -> Table:
     """A uniform random truth table: 2**in_w rows drawn from rng as uint64."""
     if out_w > 64:
@@ -266,7 +274,7 @@ def gen_random_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
     in_w, out_w = circuit_shape(pid, n)
     if in_w > GEN_WIDTH_CAP:
         raise CapabilityError(f"instance input width {in_w} exceeds generation cap {GEN_WIDTH_CAP}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     table = random_table(rng, in_w, out_w)
     return ProblemInstance(pid, n, table, *random_aux(pid, n, rng))
 

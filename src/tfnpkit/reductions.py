@@ -17,6 +17,16 @@ avoids, which the fuzz harness asserts.  Pull-backs that repeat a case
 analysis (set pairs, doubled domains, chain representatives, trees, guarded
 maps, identity regions, edge ranks) share one helper for it.
 
+An entry may also give ``translate_many(inst, tag, rows)``, the batch form of
+its pull-back over an (N, k) int array of target witness tuples of one tag.
+It returns groups ``(source tag, source rows, index)``: ``source rows`` is an
+int array of source witness tuples and ``index`` the target row each came
+from.  A target row for which ``translate`` raises is in no group.  The
+identity entries 18 and 19, the shrink-chain entry 17 and the ws band entries
+21 and 27 give one; the fuzz harness checks such an entry's rows in batches
+and falls back to the per-solution ``pullback`` for every other entry.
+``translate`` stays the reference, and the CLI's ``pullback`` uses it.
+
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
 by a linear scan from the smallest legal size; the chosen size and thresholds
@@ -30,6 +40,8 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
+
+import numpy as np
 
 from .circuit import (
     Builtin,
@@ -58,6 +70,7 @@ from .circuit import (
     shrink_chain,
     shrink_chain_pullback,
     swap_halves,
+    values_at,
 )
 from .encodings import catalan_factorize, is_spanning_tree
 from .errors import CapabilityError, DomainError, IntegrityError
@@ -91,7 +104,8 @@ _MAX_SIZE_SCAN = 64
 class Reduction:
     """A size-instantiated reduction: instance transform plus solution pull-back.
 
-    ``name`` and ``index`` come from the entry's registry row.
+    ``name`` and ``index`` come from the entry's registry row;
+    ``translate_many`` is the optional batch pull-back described above.
     """
 
     source: ProblemId
@@ -102,6 +116,7 @@ class Reduction:
     transform: Callable[[ProblemInstance], ProblemInstance] = None
     translate: Callable[[ProblemInstance, Solution], Solution] = None
     note: str = ""
+    translate_many: Optional[Callable[[ProblemInstance, str, np.ndarray], list]] = None
     name: str = ""
     index: int = 0
 
@@ -248,6 +263,55 @@ def _chain_collision(pid: ProblemId, circuit: Circuit, w_in: int, w_out: int,
                      x: BitString, y: BitString) -> Solution:
     u, v = shrink_chain_pullback(circuit, w_in, w_out, x, y)
     return make_solution(pid, "ii", u, v)
+
+
+class _Branches:
+    """The groups of a batch pull-back, filled in the order of the scalar
+    pull-back's branches: a row joins the first branch whose condition holds,
+    and a row that ``drop`` takes, where the scalar pull-back raises, joins
+    none."""
+
+    def __init__(self, count: int):
+        self.open = np.ones(count, dtype=bool)
+        self.groups: list[tuple[str, np.ndarray, np.ndarray]] = []
+
+    def take(self, cond, tag: str, *cols) -> None:
+        idx = np.flatnonzero(self.open & cond)
+        self.open[idx] = False
+        if len(idx):
+            rows = np.stack([np.broadcast_to(col, self.open.shape)[idx] for col in cols], axis=1)
+            self.groups.append((tag, rows, idx))
+
+    def drop(self, cond) -> None:
+        self.open &= ~cond
+
+
+def _every_row(sol: Solution, count: int) -> list:
+    """One group sending every target row to the same source solution."""
+    values = np.array([v.value for v in sol.values()], dtype=np.int64)
+    return [(sol.tag, np.tile(values, (count, 1)), np.arange(count))]
+
+
+def _chain_collisions_many(cprime: Circuit, w_in: int, w_out: int, a: np.ndarray,
+                           b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``shrink_chain_pullback`` over pairs (a[t], b[t]), stage
+    by stage.  Returns the rows (u1, u2) of the stage collisions and the t of
+    each; equal pairs and pairs that never meet have none."""
+    m = cprime.in_width
+    t = np.flatnonzero(a != b)
+    a, b = a[t], b[t]
+    found_u, found_t = [], []
+    for w in range(w_in, w_out, -1):
+        rest = w - m
+        keep = (1 << rest) - 1
+        u = np.stack([a >> rest, b >> rest], axis=1)
+        y = values_at(cprime, u) << rest
+        y1, y2 = y[:, 0] | (a & keep), y[:, 1] | (b & keep)
+        met = y1 == y2
+        found_u.append(u[met])
+        found_t.append(t[met])
+        t, a, b = t[~met], y1[~met], y2[~met]
+    return np.concatenate(found_u), np.concatenate(found_t)
 
 
 def _shrunk_pullback(src: ProblemId, w_in: int, w_out: int):
@@ -464,7 +528,7 @@ def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
     )
 
 
-@entry(3)
+@entry(3, forbidden=("i", "iii"))
 def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("ekr")
@@ -569,7 +633,7 @@ def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
     )
 
 
-@entry(7)
+@entry(7, forbidden=("i", "iii"))
 def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("gekr", k=k)
@@ -773,7 +837,7 @@ def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
     )
 
 
-@entry(15)
+@entry(15, forbidden=("i",))
 def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt = ProblemId("cayley")
@@ -874,10 +938,35 @@ def _build_weak_pigeon_to_ws_collisions(m: int = 2) -> Reduction:
             raise IntegrityError("matching triangles share every edge")
         raise IntegrityError("the built coloring is symmetric, type ii cannot occur")
 
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        w = 2 * n
+
+        def edge(u, v):
+            return np.where(u <= v, (u << w) | v, (v << w) | u)
+
+        a, b, c = (v.value for v in abc)
+        kept = np.arange(len(rows))
+        if tag == "i":
+            e1, e2 = np.full(len(rows), edge(a, b)), np.full(len(rows), edge(a, c))
+        elif tag == "iii":
+            e1, e2 = edge(rows[:, 0], rows[:, 1]), edge(rows[:, 1], rows[:, 2])
+        elif tag == "iv":
+            # the first of the three edge pairs whose two edges differ
+            first = np.stack([edge(rows[:, i], rows[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+            second = np.stack([edge(rows[:, i], rows[:, j]) for i, j in ((3, 4), (3, 5), (4, 5))], axis=1)
+            differ = first != second
+            at = (kept, differ.argmax(axis=1))
+            kept = np.flatnonzero(differ.any(axis=1))
+            e1, e2 = first[at][kept], second[at][kept]
+        else:
+            return []
+        u, t = _chain_collisions_many(inst.circuit, 4 * n, n, e1, e2)
+        return [("ii", u, kept[t])]
+
     return Reduction(
         source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m},
-        transform=transform, translate=translate,
+        transform=transform, translate=translate, translate_many=translate_many,
         note="symmetrized chain compressor colors pairs; any solution yields a chain collision",
     )
 
@@ -894,10 +983,13 @@ def _identity_entry(src_name: str, tgt_name: str, n: int, note: str) -> Reductio
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         return make_solution(src, sol.tag, *sol.values())
 
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        return [(tag, rows, np.arange(len(rows)))]
+
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=n, params={"n": n},
-        transform=transform, translate=translate, note=note,
+        transform=transform, translate=translate, translate_many=translate_many, note=note,
     )
 
 
@@ -1044,6 +1136,75 @@ def _colorings(inst: ProblemInstance):
     return col
 
 
+def _ws_collisions_many(inst: ProblemInstance, rows: np.ndarray,
+                        specials: Optional[tuple[int, int, int]] = None) -> list:
+    """Array form of the collision analysis of entries 21 and 27 over rows
+    (x, y): ``_ws_case_of`` of both, then ``_case4_collision`` or
+    ``_case5_collision``, each row taking the branch the scalar pull-back
+    takes.  With ``specials`` = (col(a,b), col(a,c), col(b,c)) (entry 27) a
+    uniform-probe witness is first matched against the anchors' colors.
+
+    Every color read here, between x or y and an anchor or between two
+    anchors, comes from one ``values_at`` call.
+    """
+    w = inst.abc[0].width
+    v = dict(zip("abc", (np.full(len(rows), u.value) for u in inst.abc)), x=rows[:, 0], y=rows[:, 1])
+    keys = [(p, q) for p in "xyabc" for q in "xyabc" if p != q and {p, q} != {"x", "y"}]
+    colors = values_at(inst.circuit, np.stack([(v[p] << w) | v[q] for p, q in keys]))
+    table = dict(zip(keys, colors))
+
+    def col(p: str, q: str) -> np.ndarray:
+        return table[p, q]
+
+    def asym(p: str, q: str) -> np.ndarray:
+        return col(p, q) != col(q, p)
+
+    x, y, a, b, c = (v[k] for k in "xyabc")
+    g = _Branches(len(rows))
+
+    def case_of(p: str) -> np.ndarray:
+        # 4 and 5 as in _ws_case_of; an anchor's cases 1-3 join no branch below
+        anchor = (v[p] == a) | (v[p] == b) | (v[p] == c)
+        uniform = (col(p, "b") == col(p, "c")) & (col(p, "b") == col("b", "c"))
+        return np.where(anchor, 0, np.where(uniform, 4, 5))
+
+    case = case_of("x")
+    g.drop(case != case_of("y"))
+    four, five = case == 4, case == 5
+    if specials is not None:
+        s_ab, s_ac, s_bc = specials
+        for p in "xy":
+            xi = col(p, "a")
+            g.take(four & (xi == s_ab), "iii", v[p], a, b)
+            g.take(four & (xi == s_ac), "iii", v[p], a, c)
+            g.take(four & (xi == s_bc) & asym(p, "a"), "ii", v[p], a)
+            g.take(four & (xi == s_bc), "iii", a, v[p], b)
+    g.drop(four & (col("x", "a") != col("y", "a")))
+    # _case4_collision
+    xi, beta, tau = col("x", "a"), col("b", "c"), col("a", "b")
+    g.take(four & (xi == beta) & asym("x", "a"), "ii", x, a)
+    g.take(four & (xi == beta) & (tau != xi), "iii", a, x, b)
+    g.take(four & (xi == beta), "iii", a, b, c)
+    g.take(four & (xi == tau), "iii", x, a, b)
+    g.take(four & (beta == tau) & asym("a", "b"), "ii", a, b)
+    g.take(four & (beta == tau), "iii", x, b, a)
+    g.take(four, "iv", x, a, b, y, a, b)
+    # _case5_collision
+    for p in "xy":
+        same = col(p, "b") == col(p, "c")
+        g.take(five & same & asym(p, "b"), "ii", v[p], b)
+        g.take(five & same, "iii", b, v[p], c)
+    straight = (col("x", "b") == col("y", "b")) & (col("x", "c") == col("y", "c"))
+    crossed = ~straight & (col("x", "b") == col("y", "c")) & (col("x", "c") == col("y", "b"))
+    g.drop(five & ~straight & ~crossed)
+    g.take(five & crossed & asym("b", "c"), "ii", b, c)
+    g.take(five & (col("x", "b") == beta), "iii", x, b, c)
+    g.take(five & (col("x", "c") == beta) & asym("b", "c"), "ii", b, c)
+    g.take(five & (col("x", "c") == beta), "iii", x, c, b)
+    g.take(five, "iv", x, b, c, y, np.where(straight, b, c), np.where(straight, c, b))
+    return g.groups
+
+
 def _ws_bands(inst: ProblemInstance, anchor_values: tuple[int, int, int]):
     """Probe circuits of the band layouts of entries 21 and 27.
 
@@ -1101,10 +1262,17 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
             return _case4_collision(src, col, a, b, c, x, y)
         return _case5_collision(src, col, a, b, c, x, y)
 
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        a, b, c = inst.abc
+        col = _colorings(inst)
+        if col(a, b) == col(a, c):
+            return _every_row(make_solution(src, "i"), len(rows))
+        return [] if tag == "i" else _ws_collisions_many(inst, rows)
+
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n},
-        transform=transform, translate=translate,
+        transform=transform, translate=translate, translate_many=translate_many,
         note="rank each vertex by its colors toward the anchors; bands tile the whole codomain",
     )
 
@@ -1203,7 +1371,7 @@ def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
     )
 
 
-@entry(24)
+@entry(24, forbidden=("i", "ii"))
 def _build_pigeon_to_mantel(m: int = 2) -> Reduction:
     src = ProblemId("pigeon")
     tgt_m = m if m % 2 == 0 else m + 1
@@ -1359,19 +1527,27 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
         cp = Piecewise((*anchors, Case(branch4, pred=uniform), Case(branch5, 0, 1 << w)))
         return ProblemInstance(tgt, w, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+    def settled(inst: ProblemInstance) -> Optional[Solution]:
+        """The source solution of every target row when the anchors' own
+        colors already give one."""
         a, b, c = inst.abc
         col = _colorings(inst)
-        s_ab, s_ac, s_bc = col(a, b), col(a, c), col(b, c)
+        s_ab, s_ac, s_bc = special_colors(inst)
         if s_ab == s_ac:
             return make_solution(src, "i")
         if s_ab == s_bc:
             return _tri(src, a, b, c)
         if s_ac == s_bc:
-            sym = _sym_or_none(src, col, b, c)
-            if sym:
-                return sym
-            return _tri(src, a, c, b)
+            return _sym_or_none(src, col, b, c) or _tri(src, a, c, b)
+        return None
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        done = settled(inst)
+        if done is not None:
+            return done
+        a, b, c = inst.abc
+        col = _colorings(inst)
+        s_ab, s_ac, s_bc = special_colors(inst)
         if sol.tag == "ii":
             raise IntegrityError("images all sit at or above k")
         x, y = sol.get("x"), sol.get("y")
@@ -1396,9 +1572,15 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
             return _case4_collision(src, col, a, b, c, x, y)
         return _case5_collision(src, col, a, b, c, x, y)
 
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        done = settled(inst)
+        if done is not None:
+            return _every_row(done, len(rows))
+        return [] if tag == "ii" else _ws_collisions_many(inst, rows, tuple(special_colors(inst)))
+
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n, "k": tgt_k},
-        transform=transform, translate=translate,
+        transform=transform, translate=translate, translate_many=translate_many,
         note="band layout shifted to the top segment so only collisions remain",
     )

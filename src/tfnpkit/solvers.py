@@ -3,18 +3,22 @@ the reduction fuzz harness.
 
 ``enumerate_solutions`` lists accepted solutions in a fixed canonical order
 (solution type tag first, then witness values lexicographically), optionally
-capped per type.  ``brute_force_solve`` returns the canonical minimum and, by
+capped per type; ``solution_rows`` gives the same witness tuples per tag as
+int arrays.  ``brute_force_solve`` returns the canonical minimum and, by
 totality of every catalog problem, must always find one; exhausting the space
 without a hit raises an integrity failure because it can only mean a verifier
 or wellformedness bug.  The fuzz harness drives every registry reduction over
 designed and seeded random instances, pulls every enumerated target solution
-back, and re-verifies it on the source.
+back, and re-verifies it on the source: in batches of int arrays for an
+entry with ``translate_many``, one ``Solution`` at a time for the others.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -31,9 +35,11 @@ from .problems import (
     honest_turan_params,
     random_aux,
     random_table,
+    seeded_rng,
     solution_order_key,
 )
 from .reductions import (
+    Reduction,
     apply as apply_reduction,
     build_entry,
     lookup,
@@ -51,6 +57,7 @@ __all__ = [
     "fuzz_soundness",
     "ramsey_explicit",
     "random_coloring",
+    "solution_rows",
 ]
 
 WIDTH_CAP = 22
@@ -72,52 +79,58 @@ class SolveBudget:
             raise DomainError("parallelism must be at least 1")
 
 
-def _solutions(inst: ProblemInstance, tag: str, outs: np.ndarray,
-               lo: int, hi: int) -> Iterator[Solution]:
-    """Accepted solutions of one tag in canonical order, first witness in
-    [lo, hi), scanned by the tag's clause over the output table outs."""
-    pid = inst.pid
-    clause = pid.spec.clauses[tag]
-    names = clause.names(pid)
-    width = pid.spec.witness_width(inst.n, inst.in_width)
-    for values in clause.scan(inst, outs, lo, hi):
-        yield Solution(tag, tuple(zip(names, [BitString(width, v) for v in values])))
+def _solutions(inst: ProblemInstance, tag: str, rows: list) -> list[Solution]:
+    """The Solutions of one tag whose witness values are the int tuples rows."""
+    names = inst.pid.spec.clauses[tag].names(inst.pid)
+    width = inst.pid.spec.witness_width(inst.n, inst.in_width)
+    return [Solution(tag, tuple(zip(names, [BitString(width, v) for v in values]))) for values in rows]
 
 
-# ---------------------------------------------------------------------------
-# public search API
-
-
-def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
-                        ) -> tuple[list[Solution], bool]:
-    """All accepted solutions in canonical order, capped per type.
-
-    Returns (solutions, truncated).  Every type is enumerated lazily in
-    canonical order and stopped at the per-type cap, the only cap that
-    applies; ``truncated`` says whether any type reached it.  Clique-type
-    witnesses appear once, in sorted-index form, from a depth-first search
-    that yields them in ascending order without building the rest.
-    """
+def _table(inst: ProblemInstance, budget: SolveBudget) -> tuple[np.ndarray, int]:
+    """The output table and the witness range, after the budget's checks."""
     wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"instance is malformed: {wf.reason}")
     w = inst.circuit.in_width
     if w > budget.max_in_width:
         raise CapabilityError(f"input width {w} exceeds budget {budget.max_in_width}")
+    return eval_all(inst.circuit), 1 << inst.pid.spec.witness_width(inst.n, w)
+
+
+# ---------------------------------------------------------------------------
+# public search API
+
+
+def solution_rows(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
+                  ) -> tuple[dict[str, np.ndarray], bool]:
+    """Accepted witness tuples per tag, in canonical order, as int arrays.
+
+    Returns ({tag: rows}, truncated), rows of shape (N, number of witnesses)
+    for every tag in canonical order.  Each tag's scan runs lazily and stops
+    at the per-type cap, the only cap that applies; ``truncated`` says
+    whether any tag reached it.  Clique-type witnesses appear once, in
+    sorted-index form, from a depth-first search that yields them in
+    ascending order without building the rest.
+    """
+    outs, hi = _table(inst, budget)
     cap = budget.max_per_type
-    out: list[Solution] = []
+    rows: dict[str, np.ndarray] = {}
     truncated = False
-    outs = eval_all(inst.circuit)
-    hi = 1 << inst.pid.spec.witness_width(inst.n, w)
-    for tag in inst.pid.spec.clauses:
-        got = 0
-        for s in _solutions(inst, tag, outs, 0, hi):
-            if cap is not None and got >= cap:
-                truncated = True
-                break
-            out.append(s)
-            got += 1
-    return out, truncated
+    for tag, clause in inst.pid.spec.clauses.items():
+        got = list(islice(clause.scan(inst, outs, 0, hi), None if cap is None else cap + 1))
+        if cap is not None and len(got) > cap:
+            truncated = True
+            del got[cap:]
+        rows[tag] = np.array(got, dtype=np.int64).reshape(len(got), len(clause.names(inst.pid)))
+    return rows, truncated
+
+
+def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
+                        ) -> tuple[list[Solution], bool]:
+    """All accepted solutions in canonical order, capped per type: the
+    ``Solution`` form of ``solution_rows``.  Returns (solutions, truncated)."""
+    rows, truncated = solution_rows(inst, budget)
+    return [s for tag, arr in rows.items() for s in _solutions(inst, tag, arr.tolist())], truncated
 
 
 def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()) -> Solution:
@@ -126,19 +139,11 @@ def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     Deterministic for any parallelism degree: chunks of the first-witness
     range are scanned independently and reduced by the canonical order.
     """
-    wf = inst.wellformed_verdict
-    if not wf:
-        raise DomainError(f"instance is malformed: {wf.reason}")
-    w = inst.circuit.in_width
-    if w > budget.max_in_width:
-        raise CapabilityError(f"input width {w} exceeds budget {budget.max_in_width}")
-    outs = eval_all(inst.circuit)
-    hi = 1 << inst.pid.spec.witness_width(inst.n, w)
+    outs, hi = _table(inst, budget)
 
     def first_in(tag: str, lo: int, chunk_hi: int) -> Optional[Solution]:
-        for s in _solutions(inst, tag, outs, lo, chunk_hi):
-            return s
-        return None
+        values = next(inst.pid.spec.clauses[tag].scan(inst, outs, lo, chunk_hi), None)
+        return None if values is None else _solutions(inst, tag, [values])[0]
 
     p = min(budget.parallelism, hi)
     for tag in inst.pid.spec.clauses:
@@ -184,7 +189,7 @@ def fuzz_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
     in_w, out_w = circuit_shape(pid, n)
     if in_w <= 16:
         return gen_random_instance(pid, n, seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     circ = Compose(random_table(rng, 16, out_w), _fold_circuit(in_w, 16))
     return ProblemInstance(pid, n, circ, *random_aux(pid, n, rng))
 
@@ -226,10 +231,22 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     (their six-witness solutions grow quadratically in the triple count);
     wider targets cap every type.
 
+    An entry whose reduction gives ``translate_many`` takes the batch path:
+    each tag's target rows get one target ``check_many``, one
+    ``translate_many`` and one source ``check_many`` per source tag, and each
+    row the batch rejects counts as one failure, reported through the scalar
+    ``pullback`` of that row.  Every other entry pulls back one ``Solution``
+    at a time.
+
     The report counts the cases run, the target solutions pulled back, the
     cases whose enumeration hit the per-type cap (``truncated_cases``) and
-    the failures, with the first failure's message.
+    the failures, with the first failure's message.  ``per_tag`` counts the
+    accepted pull-backs per (target tag, source tag) cell.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     row = lookup(name_or_index)
     index = row.index
     red = build_entry(index, **(params or {}))
@@ -263,12 +280,35 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     failures = 0
     truncated_cases = 0
     first_failure = None
+    per_tag: Counter = Counter()
 
-    def fail(kind: str, msg: str):
+    def fail(kind: str, msg: str, count: int = 1):
         nonlocal failures, first_failure
-        failures += 1
+        failures += count
         if first_failure is None:
             first_failure = f"[{kind}] {msg}"
+
+    def pull_back(inst: ProblemInstance, tgt: ProblemInstance, s: Solution) -> str:
+        """The scalar pull-back of s: its source tag, or raises."""
+        return pullback_reduction(red, inst, s, target=tgt).tag
+
+    def batch(kind: str, inst: ProblemInstance, tgt: ProblemInstance, tag: str, rows: np.ndarray):
+        try:
+            ok, cells = _batch_pullback(red, inst, tgt, tag, rows)
+        except Exception:
+            ok, cells = np.zeros(len(rows), dtype=bool), Counter()
+        per_tag.update(cells)
+        bad = np.flatnonzero(~ok)
+        if not len(bad):
+            return
+        s = _solutions(tgt, tag, [rows[bad[0]].tolist()])[0]
+        shown = f"pull-back of type {tag} {tuple(str(v) for v in s.values())}"
+        try:
+            pull_back(inst, tgt, s)
+            msg = f"{shown}: the batch check rejects what the scalar pull-back accepts"
+        except Exception as exc:
+            msg = f"{shown}: {exc}"
+        fail(kind, msg, len(bad))
 
     for kind, inst in cases():
         try:
@@ -280,25 +320,37 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
         if not wf:
             fail(kind, f"target malformed: {wf.reason}")
             continue
+        case_budget = budget if kind != "designed" else designed_budget
         try:
-            sols, truncated = enumerate_solutions(
-                tgt, budget if kind != "designed" else designed_budget)
+            if red.translate_many is None:
+                sols, truncated = enumerate_solutions(tgt, case_budget)
+                found: dict = {}
+                for s in sols:
+                    found.setdefault(s.tag, []).append(s)
+            else:
+                found, truncated = solution_rows(tgt, case_budget)
         except Exception as exc:
             fail(kind, f"target enumeration failed: {exc}")
             continue
         truncated_cases += truncated
-        if not sols:
+        if not any(map(len, found.values())):
             fail(kind, "target instance has no solutions at all")
             continue
-        for s in sols:
-            if s.tag in forbidden:
-                fail(kind, f"type-{s.tag} target solution violates the image structure")
+        for tag, got in found.items():
+            if not len(got):
                 continue
-            checked += 1
-            try:
-                pullback_reduction(red, inst, s, target=tgt)
-            except Exception as exc:
-                fail(kind, f"pull-back of type {s.tag} {tuple(str(v) for v in s.values())}: {exc}")
+            if tag in forbidden:
+                fail(kind, f"type-{tag} target solution violates the image structure", len(got))
+                continue
+            checked += len(got)
+            if red.translate_many is not None:
+                batch(kind, inst, tgt, tag, got)
+                continue
+            for s in got:
+                try:
+                    per_tag[tag, pull_back(inst, tgt, s)] += 1
+                except Exception as exc:
+                    fail(kind, f"pull-back of type {tag} {tuple(str(v) for v in s.values())}: {exc}")
 
     return {
         "entry": index,
@@ -310,8 +362,40 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
         "failures": failures,
         "first_failure": first_failure,
         "purity_tags": forbidden,
+        "per_tag": dict(sorted(per_tag.items())),
         "ok": failures == 0,
     }
+
+
+def _batch_pullback(red: Reduction, inst: ProblemInstance, tgt: ProblemInstance, tag: str,
+                    rows: np.ndarray) -> tuple[np.ndarray, Counter]:
+    """The batch pull-back of one tag's target rows.  Returns the mask of
+    rows that the target clause accepts and that pull back to exactly one
+    row the source clause accepts, and those rows' (target tag, source tag)
+    counts."""
+    accepted = np.flatnonzero(tgt.pid.spec.clauses[tag].check_many(tgt, rows))
+    spec, pid = inst.pid.spec, inst.pid
+    limit = 1 << spec.witness_width(inst.n, inst.in_width)
+    hits = np.zeros(len(rows), dtype=np.int64)
+    passed = []
+    for src_tag, src_rows, idx in red.translate_many(inst, tag, rows[accepted]):
+        idx = accepted[idx]
+        np.add.at(hits, idx, 1)
+        clause = spec.clauses.get(src_tag)
+        if clause is None or src_rows.shape[1] != len(clause.names(pid)):
+            continue
+        fits = ((src_rows >= 0) & (src_rows < limit)).all(axis=1)
+        good = np.zeros(len(idx), dtype=bool)
+        good[fits] = clause.check_many(inst, src_rows[fits])
+        passed.append((src_tag, idx[good]))
+    ok = np.zeros(len(rows), dtype=bool)
+    for _, idx in passed:
+        ok[idx] = True
+    ok &= hits == 1
+    cells = Counter()
+    for src_tag, idx in passed:
+        cells[tag, src_tag] += int(ok[idx].sum())
+    return ok, +cells
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +425,7 @@ class ColoringMatrix:
 
 
 def random_coloring(n: int, seed: int) -> ColoringMatrix:
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     upper = rng.integers(0, 2, size=(n, n))
     table = np.triu(upper, 1)
     table = table + table.T

@@ -1,0 +1,238 @@
+"""The batch path of the soundness battery against its scalar references:
+``Clause.check_many`` against ``Clause.check``, ``translate_many`` against the
+per-solution ``translate``, and the battery's batch report against its
+per-solution report."""
+
+import dataclasses
+from itertools import product
+
+import numpy as np
+import pytest
+
+import tfnpkit.solvers as solvers
+from tfnpkit.catalog import SPECS
+from tfnpkit.circuit import Compose, Table, eval_all, values_at
+from tfnpkit.errors import DomainError, IntegrityError
+from tfnpkit.numerics import BitString
+from tfnpkit.problems import (
+    ProblemId,
+    ProblemInstance,
+    circuit_shape,
+    gen_random_instance,
+    honest_turan_params,
+)
+from tfnpkit.reductions import apply, build_entry
+from tfnpkit.solvers import (
+    SolveBudget,
+    designed_instances,
+    fuzz_instance,
+    fuzz_soundness,
+    solution_rows,
+)
+
+BATCH_ENTRIES = (17, 18, 19, 21, 27)
+TUPLE_SPACE_CAP = 1 << 16
+
+
+def _smallest(name: str, r=None) -> tuple[ProblemId, int]:
+    spec = SPECS[name]
+    params = dict(spec.params)
+    if r is not None:
+        params["r"] = r
+    return ProblemId(name, **params), spec.min_n
+
+
+CHECK_CASES = [_smallest(name) for name in SPECS] + [
+    _smallest("weak_turan", r=3), _smallest("turan", r=3)]
+
+
+def _tuples(inst, tag: str) -> np.ndarray:
+    """Every witness tuple of the tag when there are at most 2^16, else a
+    fixed sample of 2^16 plus every tuple the scan accepts."""
+    pid = inst.pid
+    k = len(pid.spec.clauses[tag].names(pid))
+    w = pid.spec.witness_width(inst.n, inst.in_width)
+    if (1 << (w * k)) <= TUPLE_SPACE_CAP:
+        return np.array(list(product(range(1 << w), repeat=k)), dtype=np.int64).reshape(1 << (w * k), k)
+    sample = np.random.Generator(np.random.PCG64(k)).integers(0, 1 << w, size=(TUPLE_SPACE_CAP, k))
+    scanned, _ = solution_rows(inst, SolveBudget(max_per_type=None))
+    return np.concatenate([sample, scanned[tag]])
+
+
+def _planted(pid, n: int) -> list:
+    """Tables that reach corners the seed-0 tables miss.  Graph problems get
+    every edge u < v of the complete graph, last edge first and repeated to
+    fill the table, so that cliques reach the highest indices, past a turan
+    instance's limit M.  ws problems get the coloring that is 1 off the
+    diagonal and 0 on it, whose symmetric pairs differ from their loops."""
+    in_w, out_w = circuit_shape(pid, n)
+    if pid.spec.vertex_pairs:
+        v = 1 << (2 * n)
+        rows = [int(p // v != p % v) for p in range(1 << in_w)]
+        return [ProblemInstance(pid, n, Table(in_w, out_w, rows),
+                                abc=designed_instances(pid, n)[0].abc)]
+    if pid.name not in ("weak_mantel", "mantel", "weak_turan", "turan"):
+        return []
+    edges = [(u << n) | v for u in range(1 << n) for v in range(u + 1, 1 << n)][::-1]
+    rows = (edges * (1 << in_w))[:1 << in_w]
+    nm = honest_turan_params(pid.r, n) if pid.spec.nm else None
+    return [ProblemInstance(pid, n, Table(in_w, out_w, rows), nm=nm)]
+
+
+@pytest.mark.parametrize("pid,n", CHECK_CASES, ids=str)
+def test_check_many_agrees_with_scalar_check(pid, n):
+    accepted = rejected = 0
+    for inst in designed_instances(pid, n) + [gen_random_instance(pid, n, 0)] + _planted(pid, n):
+        w = pid.spec.witness_width(n, inst.in_width)
+        for tag, clause in pid.spec.clauses.items():
+            rows = _tuples(inst, tag)
+            got = clause.check_many(inst, rows)
+            want = [clause.check(inst, tuple(BitString(w, v) for v in row)) is None
+                    for row in rows.tolist()]
+            assert got.dtype == bool and got.tolist() == want, (tag, inst.circuit)
+            accepted += int(got.sum())
+            rejected += int((~got).sum())
+    assert accepted and rejected
+
+
+def _few_colors(red, colors: int, seed: int) -> ProblemInstance:
+    """A ws source whose edges take only ``colors`` colors, so that the
+    uniform-probe case, matching anchor colors and symmetric pairs, which
+    random colorings reach by luck, are common."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, w = red.source_n, 2 * red.source_n
+    table = Table(16, n, rng.integers(0, colors, size=1 << 16))
+    abc = tuple(BitString(w, int(v)) for v in rng.choice(1 << w, size=3, replace=False))
+    return ProblemInstance(red.source, n, Compose(table, solvers._fold_circuit(2 * w, 16)), abc=abc)
+
+
+def _cases(red):
+    """The battery's cases of an entry at seeds 0-2, and for the ws band
+    entries few-color sources as well."""
+    cases = designed_instances(red.source, red.source_n) + [
+        fuzz_instance(red.source, red.source_n, seed) for seed in range(3)]
+    if red.index in (21, 27):
+        cases += [_few_colors(red, colors, seed) for colors in (2, 3, 5) for seed in range(12)]
+    return cases
+
+
+def _probe_rows(inst, tgt, tag: str, rows: np.ndarray) -> np.ndarray:
+    """The tag's target rows plus rows the target rejects: a fixed random
+    sample, and for vertex-pair sources rows that hit the anchors a, b, c."""
+    k = rows.shape[1]
+    w = tgt.pid.spec.witness_width(tgt.n, tgt.in_width)
+    extra = [np.random.Generator(np.random.PCG64(7)).integers(0, 1 << w, size=(256, k))]
+    if inst.abc is not None and k:
+        anchors = [v.value for v in inst.abc]
+        extra.append(np.array([[anchors[t % 3]] * k for t in range(3)], dtype=np.int64))
+        if k == 2 and len(rows):
+            extra.append(np.column_stack([np.resize(anchors, len(rows)), rows[:, 1]]))
+            extra.append(rows[:, ::-1])
+    return np.concatenate([rows] + extra)
+
+
+def _scalar(red, inst, tgt, tag: str, row: list):
+    try:
+        back = red.translate(inst, solvers._solutions(tgt, tag, [row])[0])
+    except (IntegrityError, DomainError):
+        return None
+    return back.tag, tuple(v.value for v in back.values())
+
+
+@pytest.mark.parametrize("idx", BATCH_ENTRIES)
+def test_translate_many_matches_translate(idx):
+    """Every target row of the designed cases and seeds 0-2, plus rows the
+    target rejects, gets the source tag and witness ints of the scalar
+    translate, and a row it raises on is in no group."""
+    red = build_entry(idx)
+    compared = covered = 0
+    for inst in _cases(red):
+        tgt = apply(red, inst)
+        scanned, _ = solution_rows(tgt, SolveBudget(max_per_type=2000))
+        for tag, rows in scanned.items():
+            rows = _probe_rows(inst, tgt, tag, rows)
+            got: dict[int, tuple] = {}
+            for src_tag, src_rows, at in red.translate_many(inst, tag, rows):
+                assert src_rows.shape == (len(at), len(inst.pid.spec.clauses[src_tag].names(inst.pid)))
+                for t, values in zip(at.tolist(), src_rows.tolist()):
+                    assert t not in got, (tag, rows[t])
+                    got[t] = (src_tag, tuple(values))
+            for t, row in enumerate(rows.tolist()):
+                assert got.get(t) == _scalar(red, inst, tgt, tag, row), (tag, row)
+            compared += len(rows)
+            covered += len(got)
+    assert covered
+    if idx not in (18, 19):  # the identity pull-back never raises
+        assert compared > covered
+
+
+def _without_batch(monkeypatch):
+    monkeypatch.setattr(solvers, "build_entry", lambda idx, **kw: dataclasses.replace(
+        build_entry(idx, **kw), translate_many=None))
+
+
+@pytest.mark.parametrize("idx", BATCH_ENTRIES)
+def test_batch_and_per_solution_reports_agree(idx, monkeypatch):
+    batch = fuzz_soundness(idx, trials=3, seed=0)
+    _without_batch(monkeypatch)
+    scalar = fuzz_soundness(idx, trials=3, seed=0)
+    assert batch == scalar
+    assert batch["ok"] and sum(batch["per_tag"].values()) == batch["solutions_checked"]
+
+
+def test_per_tag_on_the_per_solution_path():
+    rep = fuzz_soundness(4, trials=3, seed=0)
+    assert rep["per_tag"] and sum(rep["per_tag"].values()) == rep["solutions_checked"]
+    assert {tgt for tgt, _ in rep["per_tag"]} <= {"i", "ii"}
+
+
+def _sabotaged(monkeypatch, idx: int, translate_many):
+    monkeypatch.setattr(solvers, "build_entry", lambda i, **kw: dataclasses.replace(
+        build_entry(i, **kw), translate_many=translate_many))
+    return fuzz_soundness(idx, trials=1, seed=0)
+
+
+def test_sabotaged_translate_many_is_reported(monkeypatch):
+    red = build_entry(21)
+
+    def swapped(inst, tag, rows):
+        return [(src_tag, src_rows[:, ::-1], at)
+                for src_tag, src_rows, at in red.translate_many(inst, tag, rows)]
+
+    rep = _sabotaged(monkeypatch, 21, swapped)
+    assert not rep["ok"] and rep["failures"] > 0
+    assert "the batch check rejects what the scalar pull-back accepts" in rep["first_failure"]
+
+    def broken(inst, tag, rows):
+        raise ValueError("broken batch")
+
+    rep = _sabotaged(monkeypatch, 21, broken)
+    assert not rep["ok"] and rep["failures"] == rep["solutions_checked"] > 0
+
+
+def test_scalar_reason_names_a_batch_failure(monkeypatch):
+    """A row that both paths reject is reported with the scalar reason."""
+    red = build_entry(18)
+
+    def translate(inst, sol):
+        raise IntegrityError("planted defect")
+
+    monkeypatch.setattr(solvers, "build_entry", lambda i, **kw: dataclasses.replace(
+        build_entry(i, **kw), translate=translate,
+        translate_many=lambda inst, tag, rows: []))
+    rep = fuzz_soundness(18, trials=1, seed=0)
+    assert rep["failures"] == rep["solutions_checked"] > 0 and not rep["per_tag"]
+    assert rep["first_failure"].startswith("[designed] pull-back of type i ()")
+    assert rep["first_failure"].endswith(f"{red.name}: planted defect")
+
+
+def test_values_at_never_tabulates():
+    inst = fuzz_instance(ProblemId("ws_colorful"), 5, 0)
+    c = inst.circuit
+    points = np.array([[0, 1], [(1 << 20) - 1, 12345]])
+    got = values_at(c, points)
+    assert c._table is None and got.shape == (2, 2)
+    assert got.tolist() == [[c.value_at(int(v)) for v in row] for row in points]
+    small = gen_random_instance(ProblemId("pigeon"), 3, 0).circuit
+    assert values_at(small, np.arange(8)).tolist() == eval_all(small).tolist()
+    assert values_at(c, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)

@@ -209,6 +209,19 @@ def test_check_single_entry(capsys):
     assert re.search(r"failures=0 seconds=\d+\.\d\d\n", out)
 
 
+def test_negative_seed_exits_2_with_a_message(capsys):
+    code, out, err = run(capsys, "check", "ekr_to_pigeon", "--trials", "1", "--seed", "-1")
+    assert code == 2 and "seed must be non-negative, got -1" in err and "RESULT" not in out
+    code, out, err = run(capsys, "gen", "pigeon", "2", "-1")
+    assert code == 2 and "seed must be non-negative, got -1" in err and not out
+
+
+def test_negative_trials_exit_2_with_a_message(capsys):
+    code, out, err = run(capsys, "check", "ekr_to_pigeon", "--trials", "-3")
+    assert code == 2 and "trials must be non-negative, got -3" in err
+    assert "cases=" not in out and "RESULT" not in out
+
+
 def test_check_unknown_entry(capsys):
     code, _, err = run(capsys, "check", "bogus_entry")
     assert code == 2 and "unknown reduction" in err

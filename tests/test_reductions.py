@@ -47,7 +47,8 @@ def test_registry_shape():
     assert set(ENTRIES) == set(range(1, 28))
     # the target tags each image provably avoids, as the declarations state them
     assert {idx: row.forbidden for idx, row in ENTRIES.items() if row.forbidden} == {
-        2: ("i", "iii"), 5: ("i", "iii"), 14: ("i",), 17: ("ii",), 22: ("i", "ii")}
+        2: ("i", "iii"), 3: ("i", "iii"), 5: ("i", "iii"), 7: ("i", "iii"), 14: ("i",),
+        15: ("i",), 17: ("ii",), 22: ("i", "ii"), 24: ("i", "ii")}
 
 
 def test_build_lookup_both_ways():
@@ -164,6 +165,13 @@ def test_fuzz_report_flags_planted_failure():
     sol = brute_force_solve(tgt)
     with pytest.raises(Exception):
         pullback(bad, inst, sol)
+
+
+def test_fuzz_rejects_negative_trials_and_seeds():
+    with pytest.raises(DomainError, match="trials must be non-negative"):
+        fuzz_soundness(4, trials=-3)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        fuzz_soundness(4, trials=1, seed=-1)
 
 
 def test_fuzz_report_counts_truncated_cases():
