@@ -15,7 +15,7 @@ guarded constructions.  ``eval_all`` runs it once over every input value and
 caches the result on the circuit as one read-only int64 array (32 MB at
 in_width 22).  ``Circuit.eval`` and ``Circuit.value_at`` map one input to one
 output: they index that table when the circuit has one, and otherwise run
-the scalar interpreter ``_eval_value`` with a per-circuit memo.  Their array
+the scalar interpreter ``_eval_value``, memoized per circuit.  Their array
 form ``values_at`` indexes the table too, and otherwise runs ``apply_many``
 on just the points asked for, never tabulating the circuit.  A
 ``GateNet`` evaluates on bit-planes: one uint8 array per gate (4 MB at
@@ -44,11 +44,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import CapabilityError, DomainError, ParseError
 from .numerics import BitString, bits_of
 
 MAX_TABLE_WIDTH = 20
 MAX_VECTOR_WIDTH = 62  # apply_many packs values into int64
+
+# Deepest nesting a circuit may have, counted in nodes from the root to the
+# deepest leaf, as the text form nests them.  The combinators refuse to build
+# deeper circuits and the parser refuses to read them.  The deepest circuit
+# that a registry entry builds within solvers.WIDTH_CAP has 18 levels (entry
+# 17 at m=5, a 15-stage shrink chain inside a piecewise); the cap leaves room
+# for chained reductions and keeps the recursive parser and evaluators far
+# from Python's recursion limit.
+MAX_PARSE_DEPTH = 100
 
 
 def _mask_array(xs, width):
@@ -60,6 +69,7 @@ class Circuit:
 
     in_width: int
     out_width: int
+    depth = 1  # nesting levels; combinators set theirs in _nest
     _table: np.ndarray | None = None  # set by eval_all
 
     def eval(self, x: BitString) -> BitString:
@@ -86,6 +96,13 @@ class Circuit:
 
     def _children(self) -> tuple["Circuit", ...]:
         return ()
+
+    def _nest(self) -> None:
+        """Set a combinator's depth from its children's, or raise past
+        MAX_PARSE_DEPTH."""
+        self.depth = 1 + max(c.depth for c in self._children())
+        if self.depth > MAX_PARSE_DEPTH:
+            raise CapabilityError(f"circuit nested deeper than {MAX_PARSE_DEPTH} levels")
 
     def __eq__(self, other):
         return (
@@ -279,8 +296,8 @@ def register_builtin(name: str, factory) -> None:
 class Builtin(Circuit):
     """Named codec block with fixed parameters, evaluated by a host function.
 
-    Results are memoized per value; partial hosts (decoders) only raise if an
-    out-of-range value is actually queried.
+    Partial hosts (decoders) only raise if an out-of-range value is actually
+    queried.
     """
 
     def __init__(self, name: str, **params: int):
@@ -289,20 +306,16 @@ class Builtin(Circuit):
         self.name = name
         self.params = dict(sorted(params.items()))
         self.in_width, self.out_width, self._fn = _BUILTIN_FACTORIES[name](**params)
-        self._memo: dict[int, int] = {}
 
     def _key(self):
         return (self.name, tuple(self.params.items()))
 
     def _eval_value(self, v):
-        r = self._memo.get(v)
-        if r is None:
-            r = self._memo[v] = self._fn(v)
-        return r
+        return self._fn(v)
 
     def _apply_many(self, xs):
         uniq, inv = np.unique(xs, return_inverse=True)
-        vals = np.array([self._eval_value(int(u)) for u in uniq], dtype=np.int64)
+        vals = np.array([self._fn(int(u)) for u in uniq], dtype=np.int64)
         return vals[inv].reshape(xs.shape)
 
 
@@ -319,6 +332,7 @@ class Compose(Circuit):
         self.f, self.g = f, g
         self.in_width = g.in_width
         self.out_width = f.out_width
+        self._nest()
 
     def _children(self):
         return (self.f, self.g)
@@ -337,6 +351,7 @@ class Parallel(Circuit):
         self.f, self.g = f, g
         self.in_width = f.in_width + g.in_width
         self.out_width = f.out_width + g.out_width
+        self._nest()
 
     def _children(self):
         return (self.f, self.g)
@@ -362,6 +377,7 @@ class Slice(Circuit):
         self.start, self.stop = start, stop
         self.in_width = inner.in_width
         self.out_width = stop - start
+        self._nest()
 
     def _key(self):
         return (self.start, self.stop)
@@ -388,6 +404,7 @@ class PadLeft(Circuit):
         self.bits = bits
         self.in_width = inner.in_width
         self.out_width = inner.out_width + bits
+        self._nest()
 
     def _key(self):
         return (self.bits,)
@@ -413,6 +430,7 @@ class GuardPrefix(Circuit):
         self.inner = inner
         self.t = t
         self.in_width = self.out_width = inner.in_width
+        self._nest()
 
     def _key(self):
         return (self.t,)
@@ -506,6 +524,7 @@ class Piecewise(Circuit):
         self.cases = cases
         self.in_width = w
         self.out_width = o
+        self._nest()
 
     def _key(self):
         return tuple((c.lo, c.hi) for c in self.cases)
@@ -818,14 +837,6 @@ _NODE_WORDS = {
     "TABLE", "NETLIST", "BLOCK", "COMPOSE", "PARALLEL", "SLICE", "PAD",
     "GUARD", "ADDC", "SUBC", "XORC", "PIECEWISE", "CASE", "CASEPRED", "ELSE",
 }
-
-
-# Deepest nesting the parser accepts.  The deepest circuit that a registry
-# entry builds within solvers.WIDTH_CAP has 18 levels (entry 17 at m=5, a
-# 15-stage shrink chain inside a piecewise); the cap leaves room for chained
-# reductions and keeps the recursive parser and evaluators far from Python's
-# recursion limit.
-MAX_PARSE_DEPTH = 100
 
 
 class _Parser:

@@ -16,10 +16,10 @@ order of the vector values.
 from __future__ import annotations
 
 import math
-import re
 import threading
 from dataclasses import dataclass
-from pathlib import Path
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable
 
 from . import circuit as ckt
@@ -339,7 +339,12 @@ def chain_representative(x: BitString) -> BitString:
 
 
 BARANYAI_CAP = 10_000
-DEFAULT_TABLE_DIR = Path("baranyai_tables")
+# Search nodes after which the exact-cover search gives up.  The costliest
+# search that completes, k=12 at n=2, takes 512,523 nodes.  Searches that
+# stall, such as (13, 2), (4, 3), (5, 3) and (3, 4), reach the bound in under
+# a second on a 2-vCPU host, and every stalling size under BARANYAI_CAP within
+# about 3 s (k=70 at n=2), instead of running for hours.
+BARANYAI_SEARCH_NODES = 550_000
 
 _table_memo: dict[tuple[int, int], list[list[tuple[int, ...]]]] = {}
 _table_lock = threading.Lock()
@@ -367,117 +372,94 @@ def _canonical_class(k: int, n: int) -> ParallelClass:
     return [tuple(range(i * n + 1, (i + 1) * n + 1)) for i in range(k)]
 
 
-def _complete_class(seed: Block, unused: set[Block], k: int, n: int):
-    """Yield every partition of [kn] into unused blocks containing seed, in
-    lexicographic block order."""
-    universe = set(range(1, k * n + 1))
-    by_min: dict[int, list[Block]] = {}
-    for s in sorted(unused):
-        by_min.setdefault(s[0], []).append(s)
+def _search_classes(k: int, n: int) -> list[ParallelClass]:
+    """Deterministic exact-cover search: each class is completed from the
+    smallest unused block, trying the unused blocks that hold the smallest
+    uncovered element in lexicographic order.  Each class started and each
+    partial class tried is a search node; past BARANYAI_SEARCH_NODES of them
+    the search raises CapabilityError."""
+    # block i is the i-th subset in lexicographic order; sets of blocks are
+    # int bitsets over i, sets of elements int bitsets over element - 1
+    subsets = _all_subsets(k, n)
+    elems = [sum(1 << (x - 1) for x in s) for s in subsets]
+    holding = [0] * (k * n + 1)  # element -> blocks that hold it
+    for i, s in enumerate(subsets):
+        for x in s:
+            holding[x] |= 1 << i
+    meeting = [reduce(or_, (holding[x] for x in s)) for s in subsets]
+    first = _canonical_class(k, n)
+    taken = set(first)
+    unused = sum(1 << i for i, s in enumerate(subsets) if s not in taken)
+    classes: list[ParallelClass] = [first]
+    nodes = 0
 
-    def rec(chosen: list[Block], covered: set[int]):
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > BARANYAI_SEARCH_NODES:
+            raise CapabilityError(
+                f"no table for k={k}, n={n} within {BARANYAI_SEARCH_NODES} search nodes")
+
+    def complete(chosen: list[int], covered: int, met: int):
+        """Yield every partition of [kn] into unused blocks that extends
+        chosen; covered holds its elements and met the blocks meeting it.
+        Every element below the smallest uncovered one is covered, so each
+        unmet block holding that element starts with it."""
+        nonlocal unused
+        tick()
         if len(chosen) == k:
             yield list(chosen)
             return
-        smallest = min(universe - covered)
-        for cand in by_min.get(smallest, ()):
-            if cand in unused and not (set(cand) & covered):
-                chosen.append(cand)
-                covered.update(cand)
-                unused.discard(cand)
-                yield from rec(chosen, covered)
-                unused.add(cand)
-                covered.difference_update(cand)
-                chosen.pop()
+        smallest = (~covered & (covered + 1)).bit_length()
+        cands = holding[smallest] & unused & ~met
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            unused ^= low
+            yield from complete(chosen, covered | elems[i], met | meeting[i])
+            unused |= low
+            chosen.pop()
 
-    if seed not in unused:
-        return
-    unused.discard(seed)
-    yield from rec([seed], set(seed))
-    unused.add(seed)
-
-
-def _search_classes(k: int, n: int) -> list[ParallelClass]:
-    subsets = _all_subsets(k, n)
-    first = _canonical_class(k, n)
-    unused = set(subsets) - set(first)
-    classes: list[ParallelClass] = [first]
-
-    def rec() -> bool:
-        if not unused:
-            return True
-        seed = min(unused)
-        for cls in _complete_class(seed, unused, k, n):
-            classes.append(sorted(cls))
-            unused.difference_update(cls)
-            if rec():
-                return True
-            unused.update(cls)
+    # Each class after the first is grown from the smallest unused block by
+    # one complete() generator; the generators form a stack, and an exhausted
+    # one gives its seed back and makes the one below it try its next class.
+    # complete() keeps the blocks of each class it yields out of unused.
+    seeds, growing = [], []
+    tick()
+    while unused:
+        seeds.append(unused & -unused)
+        unused ^= seeds[-1]
+        seed = seeds[-1].bit_length() - 1
+        growing.append(complete([seed], elems[seed], meeting[seed]))
+        while (cls := next(growing[-1], None)) is None:
+            unused |= seeds.pop()
+            growing.pop()
+            if not growing:
+                raise IntegrityError(f"no parallel-class table found for k={k}, n={n}")
             classes.pop()
-        return False
-
-    if not rec():
-        raise IntegrityError(f"no parallel-class table found for k={k}, n={n}")
+        classes.append([subsets[i] for i in sorted(cls)])
+        tick()
     return classes
 
 
-def _complement_pair_classes(n: int) -> list[ParallelClass]:
-    universe = set(range(1, 2 * n + 1))
-    classes = []
-    for s in _all_subsets(2, n):
-        if s[0] == 1:
-            classes.append([s, tuple(sorted(universe - set(s)))])
-    return classes
-
-
-def baranyai_table(k: int, n: int, table_dir: Path | None = None) -> list[ParallelClass]:
+def baranyai_table(k: int, n: int) -> list[ParallelClass]:
     """All parallel classes: C(kn-1,n-1) partitions of [kn] into k n-blocks,
     jointly covering every n-subset once.  Class 1 is the canonical partition
     into consecutive runs.  Computed by deterministic exact-cover search,
-    memoized in process and persisted as a text table."""
+    bounded by BARANYAI_SEARCH_NODES, and memoized in process."""
     _check_baranyai_params(k, n)
     key = (k, n)
     with _table_lock:
         if key in _table_memo:
             return _table_memo[key]
-        path = (table_dir or DEFAULT_TABLE_DIR) / f"baranyai_k{k}_n{n}.txt"
-        if path.exists():
-            classes = _load_table(path)
-        else:
-            if k == 1:
-                classes = [_canonical_class(1, n)]
-            elif k == 2:
-                classes = _complement_pair_classes(n)
-            else:
-                classes = _search_classes(k, n)
-            _store_table(path, classes)
+        classes = _search_classes(k, n)
         ok, msg = baranyai_verify(k, n, classes)
         if not ok:
             raise IntegrityError(f"table for k={k}, n={n} invalid: {msg}")
         _table_memo[key] = classes
         return classes
-
-
-def _store_table(path: Path, classes: list[ParallelClass]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for cls in classes:
-        lines.append(" ".join("{" + ",".join(map(str, b)) + "}" for b in cls))
-        lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
-
-
-def _load_table(path: Path) -> list[ParallelClass]:
-    classes = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        blocks = []
-        for tok in re.findall(r"\{([0-9,]+)\}", line):
-            blocks.append(tuple(int(x) for x in tok.split(",")))
-        if blocks:
-            classes.append(blocks)
-    return classes
 
 
 def baranyai_verify(k: int, n: int, classes: list[ParallelClass]) -> tuple[bool, str]:
@@ -508,14 +490,14 @@ def baranyai_verify(k: int, n: int, classes: list[ParallelClass]) -> tuple[bool,
     return True, "ok"
 
 
-def baranyai_index(k: int, n: int, v: BitString, table_dir: Path | None = None) -> int:
+def baranyai_index(k: int, n: int, v: BitString) -> int:
     """1-based index of the parallel class containing the weight-n subset v."""
     if v.width != k * n:
         raise DomainError(f"vector width {v.width}, expected {k * n}")
     if v.weight != n:
         raise DomainError(f"vector weight {v.weight}, expected {n}")
     block = tuple(i + 1 for i in range(k * n) if v.bit(i))
-    classes = baranyai_table(k, n, table_dir)
+    classes = baranyai_table(k, n)
     for ci, cls in enumerate(classes, start=1):
         if block in cls:
             return ci

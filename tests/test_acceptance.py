@@ -169,7 +169,7 @@ def test_criterion_04_chain_partition_counts():
            f"class counts {counts} match central binomials in {elapsed:.2f}s")
 
 
-def test_criterion_05_baranyai_desk_scale(tmp_path):
+def test_criterion_05_baranyai_desk_scale():
     from tfnpkit import encodings as enc_mod
 
     cases = [(2, 2), (2, 3), (3, 2), (4, 2), (2, 4)]
@@ -177,7 +177,7 @@ def test_criterion_05_baranyai_desk_scale(tmp_path):
     sizes = {}
     for k, n in cases:
         enc_mod._table_memo.pop((k, n), None)  # honest timing: rebuild, no memo
-        classes = baranyai_table(k, n, table_dir=tmp_path)
+        classes = baranyai_table(k, n)
         ok, msg = baranyai_verify(k, n, classes)
         assert ok, msg
         assert len(classes) == binomial(k * n - 1, n - 1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfnpkit.circuit import (
+    MAX_PARSE_DEPTH,
     Builtin,
     Case,
     Compose,
@@ -36,7 +37,7 @@ from tfnpkit.circuit import (
     take_low,
     to_text,
 )
-from tfnpkit.errors import DomainError, ParseError
+from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import BitString
 from tfnpkit.problems import (
     ProblemId,
@@ -290,6 +291,45 @@ def test_serialization_round_trip():
     back = from_text(text)
     assert back == c
     assert brute(back) == brute(c)
+
+
+def test_depth_is_capped_at_construction():
+    leaf = ConstOp("xor", BitString(2, 1))
+    assert leaf.depth == 1
+    c = leaf
+    # 1,500 nested Compose nodes used to overflow the stack in eval and hash
+    with pytest.raises(CapabilityError, match="nested deeper"):
+        for _ in range(1500):
+            c = Compose(ConstOp("xor", BitString(2, 1)), c)
+    assert c.depth == MAX_PARSE_DEPTH
+    # the deepest circuit allowed is the deepest the parser reads back
+    assert from_text(to_text(c)) == c
+    assert hash(c) == hash(from_text(to_text(c)))
+    assert c.eval(BitString(2, 0)) == BitString(2, MAX_PARSE_DEPTH % 2)
+    assert eval_all(c)[0] == MAX_PARSE_DEPTH % 2
+    for wrap in (
+        lambda x: Compose(leaf, x),
+        lambda x: Compose(x, leaf),
+        lambda x: Parallel(leaf, x),
+        lambda x: Slice(x, 0, 1),
+        lambda x: PadLeft(x, 1),
+        lambda x: GuardPrefix(x, 1),
+        lambda x: Piecewise((Case(leaf, pred=Slice(x, 0, 1)), Case(leaf, 0, 4))),
+        lambda x: Piecewise((Case(x, 0, 4),)),
+    ):
+        with pytest.raises(CapabilityError, match="nested deeper"):
+            wrap(c)
+
+
+def test_registry_deepest_circuit_still_builds():
+    # entry 17 at m=5: a 15-stage shrink chain inside a piecewise, 18 levels
+    from tfnpkit.reductions import build_entry
+    from tfnpkit.solvers import fuzz_instance
+
+    red = build_entry(17, m=5)
+    tgt = red.transform(fuzz_instance(red.source, 5, 0))
+    assert tgt.circuit.depth == 18
+    assert from_text(to_text(tgt.circuit)) == tgt.circuit
 
 
 def test_eval_memo_consistency():

@@ -248,6 +248,9 @@ def test_baranyai_command(capsys, tmp_path, monkeypatch):
     assert "classes: 3" in out and "RESULT: PASS" in out
     code, _, err = run(capsys, "baranyai", "10", "5")
     assert code == 2 and "exceeds" in err
+    # under the table cap, but the exact-cover search gives up
+    code, out, err = run(capsys, "baranyai", "4", "3")
+    assert code == 2 and "search nodes" in err and "Traceback" not in err and out == ""
 
 
 # ---------------------------------------------------------------------------
