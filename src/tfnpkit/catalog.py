@@ -30,6 +30,7 @@ import numpy as np
 
 from .circuit import values_at
 from .encodings import is_spanning_tree
+from .errors import CapabilityError
 from .numerics import BitString, binomial, ceil_log2
 
 __all__ = [
@@ -261,7 +262,17 @@ def _clique_solutions(n: int, e_u: np.ndarray, e_v: np.ndarray, in_range: np.nda
     yield from branch(firsts, (), (), frozenset())
 
 
+# Most ordered vertex triples the twin-triangle scan lays out as rows.  It
+# admits the 64 vertices of n=3 (249,984 triples) and refuses the 256 of n=4
+# (16.6M triples, over 1 GB of index arrays).
+MAX_TRIPLES = 1 << 20
+
+
 def _distinct_triples(v_count: int) -> np.ndarray:
+    count = v_count * (v_count - 1) * (v_count - 2)
+    if count > MAX_TRIPLES:
+        raise CapabilityError(
+            f"{count} vertex triples on {v_count} vertices exceed the scan cap {MAX_TRIPLES}")
     ids = np.arange(v_count)
     x, y, z = np.meshgrid(ids, ids, ids, indexing="ij")
     flat = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)

@@ -284,12 +284,22 @@ class GateNet(Circuit):
         return out.astype(np.int64)
 
 
+# Fewest distinct values a Builtin's array kernel runs on.  A kernel makes
+# tens of numpy calls whatever the batch size (80-180 us for the registered
+# codecs on a 2-vCPU x86 host) where the host takes 2-15 us a value, so
+# smaller batches, such as the soundness battery's, run the host value by
+# value.
+KERNEL_MIN_VALUES = 32
+
 # Builtin blocks are registered by the encodings module at import time.
-_BUILTIN_FACTORIES: dict[str, Callable[..., tuple[int, int, Callable[[int], int]]]] = {}
+_BUILTIN_FACTORIES: dict[str, Callable[..., tuple[
+    int, int, Callable[[int], int], Callable[[np.ndarray], np.ndarray] | None]]] = {}
 
 
 def register_builtin(name: str, factory) -> None:
-    """factory(**params) -> (in_width, out_width, fn: value -> value)."""
+    """factory(**params) -> (in_width, out_width, fn, many): fn maps one value
+    to its output, and many, when not None, maps an int64 array of values to
+    the int64 array of their outputs, as fn would value by value."""
     _BUILTIN_FACTORIES[name] = factory
 
 
@@ -297,7 +307,10 @@ class Builtin(Circuit):
     """Named codec block with fixed parameters, evaluated by a host function.
 
     Partial hosts (decoders) only raise if an out-of-range value is actually
-    queried.
+    queried.  Vector evaluation runs the block's array kernel on the distinct
+    input values, or the host on each of them when the block has no kernel
+    or the values are fewer than KERNEL_MIN_VALUES; either way a batch fails
+    as the host fails on its smallest out-of-range value.
     """
 
     def __init__(self, name: str, **params: int):
@@ -305,7 +318,7 @@ class Builtin(Circuit):
             raise DomainError(f"unknown builtin block {name!r}")
         self.name = name
         self.params = dict(sorted(params.items()))
-        self.in_width, self.out_width, self._fn = _BUILTIN_FACTORIES[name](**params)
+        self.in_width, self.out_width, self._fn, self._many = _BUILTIN_FACTORIES[name](**params)
 
     def _key(self):
         return (self.name, tuple(self.params.items()))
@@ -314,8 +327,13 @@ class Builtin(Circuit):
         return self._fn(v)
 
     def _apply_many(self, xs):
+        if self.out_width > MAX_VECTOR_WIDTH:
+            raise DomainError(f"block outputs wider than vector limit {MAX_VECTOR_WIDTH}")
         uniq, inv = np.unique(xs, return_inverse=True)
-        vals = np.array([self._fn(int(u)) for u in uniq], dtype=np.int64)
+        if self._many is not None and len(uniq) >= KERNEL_MIN_VALUES:
+            vals = self._many(uniq)
+        else:
+            vals = np.array([self._fn(int(u)) for u in uniq], dtype=np.int64)
         return vals[inv].reshape(xs.shape)
 
 
@@ -1046,6 +1064,8 @@ def from_text(text: str, start_line: int = 1) -> Circuit:
         raise ParseError(f"CIRCUIT header missing {e}", hline)
     except ValueError as e:
         raise ParseError(f"bad CIRCUIT header: {e}", hline) from None
+    if in_w < 0 or out_w < 0:
+        raise ParseError(f"bad CIRCUIT header: negative width in={in_w} out={out_w}", hline)
     node = parser.parse_node(0, default_in=in_w, default_out=out_w)
     if parser.peek() is not None:
         raise ParseError("trailing content after circuit", parser.peek()[0])

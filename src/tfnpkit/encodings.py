@@ -3,6 +3,8 @@ table for uniform set partitions.
 
 Every codec is a pair of host functions (encode/decode on BitStrings) and is
 also registered as a named circuit block, so instance circuits can embed it.
+The cover, lexpair and Prüfer-decode blocks also carry a numpy kernel that
+vector evaluation runs on large batches, with the host's outputs and errors.
 Decoders are partial: ranks beyond the counted range raise OutOfRangeError,
 which turns an out-of-contract evaluation into a loud failure instead of
 silently wrong data.  Encoders are total, with fixed documented extensions on
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterable
+
+import numpy as np
 
 from . import circuit as ckt
 from .errors import CapabilityError, DomainError, IntegrityError, OutOfRangeError
@@ -100,6 +104,8 @@ def cover_decode(k: int, m: int, r: BitString) -> BitString:
 
 
 def lexpair_width(n: int) -> int:
+    if n < 1:
+        raise DomainError("pairs need strings of at least 1 bit")
     return 2 * n - 1
 
 
@@ -573,38 +579,161 @@ def check_property_preserving(
 
 
 # ---------------------------------------------------------------------------
+# array kernels: each maps an int64 array of block inputs to the int64 array
+# of outputs its scalar host gives value by value; decoder kernels take ranks
+# in range only
+
+
+def _comb_rows(m: int, k: int) -> list[np.ndarray]:
+    """Row i holds C(m-1-i, j) for j = 0..k: the rank term of a 1 at
+    position i with j ones still to place."""
+    return [np.array([math.comb(m - 1 - i, j) for j in range(k + 1)], dtype=np.int64)
+            for i in range(m)]
+
+
+def _cover_encode_many(vs: np.ndarray, m: int, k: int) -> np.ndarray:
+    # off-weight values clamp down to the largest weight-k value below them,
+    # the value _clamp_to_weight picks, or to 0 (rank 0) when there is none
+    best = np.zeros_like(vs)
+    ones = np.zeros_like(vs)
+    for i in range(m):
+        bit = (vs >> (m - 1 - i)) & 1
+        need, rest = k - ones, m - 1 - i
+        fits = (bit == 1) & (need >= 0) & (need <= rest)
+        need = np.clip(need, 0, rest)
+        prefix = (vs >> (m - i)) << (m - i)
+        best = np.where(fits, prefix | (((1 << need) - 1) << (rest - need)), best)
+        ones += bit
+    vs = np.where(ones == k, vs, best)
+    rank = np.zeros_like(vs)
+    rem = np.full_like(vs, k)
+    for i, row in enumerate(_comb_rows(m, k)):
+        bit = (vs >> (m - 1 - i)) & 1
+        rank += bit * row[rem]
+        rem -= bit
+    return rank
+
+
+def _cover_decode_many(rs: np.ndarray, m: int, k: int) -> np.ndarray:
+    vs = np.zeros_like(rs)
+    rem = np.full_like(rs, k)
+    for i, row in enumerate(_comb_rows(m, k)):
+        c = row[rem]
+        take = rs >= c
+        vs |= take.astype(np.int64) << (m - 1 - i)
+        rs = rs - np.where(take, c, 0)
+        rem -= take
+    return vs
+
+
+def _lexpair_encode_many(uvs: np.ndarray, n: int) -> np.ndarray:
+    u, v = uvs >> n, uvs & ((1 << n) - 1)
+    a, b = np.minimum(u, v), np.maximum(u, v)
+    return np.where(u == v, 0, a * (2 * (1 << n) - a - 1) // 2 + b - a - 1)
+
+
+def _lexpair_decode_many(rs: np.ndarray, n: int) -> np.ndarray:
+    big = 1 << n
+    # t pairs run from rank r to the end; the first element a leaves
+    # T(j) = j(j+1)/2 pairs from a on, j = big-1-a, so j is the least one
+    # with T(j) >= t.  A float square root estimates it.  Where 8t+1 is too
+    # wide for a float the estimate can fall one short, never over: up to
+    # n = 31 rounding moves the root by under half a unit in its last place,
+    # so an exact odd root 2j+1 comes back exact.  One step up corrects it.
+    t = pair_count(n) - rs
+    j = np.ceil((np.sqrt(8 * t.astype(np.float64) + 1) - 1) / 2).astype(np.int64)
+    j += j * (j + 1) // 2 < t
+    a = big - 1 - j
+    b = a + 1 + j * (j + 1) // 2 - t
+    return (a << n) | b
+
+
+def _prufer_decode_many(rs: np.ndarray, n: int) -> np.ndarray:
+    w = edge_count(n)
+    bit = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            bit[i, j] = bit[j, i] = 1 << (w - 1 - edge_bit_index(n, i, j))
+    # the sequence's digits, most significant first, as vertices 1..n
+    seq = [(rs // n ** (n - 3 - p)) % n + 1 for p in range(n - 2)]
+    rows = np.arange(len(rs))
+    deg = np.ones((len(rs), n + 1), dtype=np.int8)
+    deg[:, 0] = 0  # no vertex 0
+    for a in seq:
+        deg[rows, a] += 1
+    out = np.zeros_like(rs)
+    for a in seq:
+        leaf = (deg == 1).argmax(axis=1)  # the smallest leaf
+        out |= bit[leaf, a]
+        deg[rows, leaf] -= 1
+        deg[rows, a] -= 1
+    last = deg == 1  # two vertices of degree 1 remain
+    return out | bit[last.argmax(axis=1), n - last[:, ::-1].argmax(axis=1)]
+
+
+# ---------------------------------------------------------------------------
 # circuit blocks
 
 
+def _decoder(limit: int, host: Callable[[int], int], kernel):
+    """A decoder block's vector form: the kernel, on a batch of ranks below
+    limit; a batch holding others fails as the host fails on the smallest."""
+
+    def many(rs: np.ndarray) -> np.ndarray:
+        over = rs[rs >= limit]
+        if over.size:
+            host(int(over.min()))  # raises the host's OutOfRangeError
+        return kernel(rs)
+
+    return many
+
+
 def _cover_encode_block(k: int, m: int):
-    return m, cover_width(k, m), lambda v: _cover_encode_value(v, m, k)
+    return (m, cover_width(k, m), lambda v: _cover_encode_value(v, m, k),
+            lambda vs: _cover_encode_many(vs, m, k))
 
 
 def _cover_decode_block(k: int, m: int):
-    return cover_width(k, m), m, lambda r: _cover_decode_value(r, m, k)
+    def host(r):
+        return _cover_decode_value(r, m, k)
+
+    return (cover_width(k, m), m, host,
+            _decoder(binomial(m, k), host, lambda rs: _cover_decode_many(rs, m, k)))
 
 
 def _lexpair_encode_block(n: int):
-    return 2 * n, lexpair_width(n), lambda uv: _lexpair_encode_value(uv, n)
+    return (2 * n, lexpair_width(n), lambda uv: _lexpair_encode_value(uv, n),
+            lambda uvs: _lexpair_encode_many(uvs, n))
 
 
 def _lexpair_decode_block(n: int):
-    return lexpair_width(n), 2 * n, lambda r: _lexpair_decode_value(r, n)
+    def host(r):
+        return _lexpair_decode_value(r, n)
+
+    return (lexpair_width(n), 2 * n, host,
+            _decoder(pair_count(n), host, lambda rs: _lexpair_decode_many(rs, n)))
 
 
 def _prufer_encode_block(n: int):
     w = edge_count(n)
-    return w, prufer_width(n), lambda g: prufer_encode_rank(n, bits_of(g, w)).value
+    return w, prufer_width(n), lambda g: prufer_encode_rank(n, bits_of(g, w)).value, None
 
 
 def _prufer_decode_block(n: int):
     beta = prufer_width(n)
-    return beta, edge_count(n), lambda r: prufer_decode_rank(n, bits_of(r, beta)).value
+
+    def host(r):
+        return prufer_decode_rank(n, bits_of(r, beta)).value
+
+    return (beta, edge_count(n), host,
+            _decoder(tree_count(n), host, lambda rs: _prufer_decode_many(rs, n)))
 
 
 def _chain_rep_block(n: int):
+    if n < 1:
+        raise DomainError("chains need strings of at least 2 bits")
     w = 2 * n
-    return w, w, lambda x: chain_representative(bits_of(x, w)).value
+    return w, w, lambda x: chain_representative(bits_of(x, w)).value, None
 
 
 def _baranyai_class_block(k: int, n: int):
@@ -617,7 +746,7 @@ def _baranyai_class_block(k: int, n: int):
             return 0
         return baranyai_index(k, n, b) - 1
 
-    return w, out, fn
+    return w, out, fn, None
 
 
 ckt.register_builtin("cover_encode", _cover_encode_block)

@@ -509,3 +509,19 @@ def test_table_rows_are_one_read_only_array():
     assert wide.eval(BitString(1, 1)).value == (1 << 64) - 1
     with pytest.raises(DomainError):
         apply_many(Slice(wide, 0, 8), np.array([0, 1]))
+
+
+def test_header_rejects_negative_widths():
+    for head in ("CIRCUIT in=-6 out=-7", "CIRCUIT in=-1 out=1", "CIRCUIT in=1 out=-1"):
+        with pytest.raises(ParseError, match="negative width") as e:
+            from_text(head + "\nBLOCK lexpair_encode n=-3\n")
+        assert e.value.line == 1
+
+
+def test_vector_evaluation_refuses_blocks_past_62_output_bits():
+    wide = Builtin("prufer_decode", n=12)  # 66 edge bits
+    assert wide.eval(BitString(wide.in_width, 0)).width == 66  # the scalar path stays exact
+    with pytest.raises(DomainError, match="vector limit"):
+        wide._apply_many(np.array([0, 1], dtype=np.int64))
+    with pytest.raises(DomainError, match="vector limit"):
+        apply_many(Slice(wide, 0, 8), np.array([0, 1]))

@@ -3,9 +3,10 @@ naive enumeration before being compared to the library's answer."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from tfnpkit.circuit import Builtin
+from tfnpkit.circuit import KERNEL_MIN_VALUES, Builtin, apply_many
 from tfnpkit.encodings import (
     PAIR_SCAN_CAP,
     catalan_expand,
@@ -111,6 +112,15 @@ def test_lexpair_corners():
     assert lexpair_encode(2, bits_of(3, 2), bits_of(3, 2)).value == 0  # ties collapse
     with pytest.raises(OutOfRangeError):
         lexpair_decode(2, bits_of(6, lexpair_width(2)))
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_pair_and_chain_blocks_need_nonempty_strings(n):
+    with pytest.raises(DomainError):
+        lexpair_width(n)
+    for name in ("lexpair_encode", "lexpair_decode", "chain_rep"):
+        with pytest.raises(DomainError):
+            Builtin(name, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,92 @@ def test_builtins_match_functions():
     pe = Builtin("prufer_encode", n=4)
     for g in naive_trees(4):
         assert pe.eval(bits_of(g, 6)) == prufer_encode_rank(4, bits_of(g, 6))
+
+
+# ---------------------------------------------------------------------------
+# array kernels: vector evaluation of a block equals its scalar host
+
+
+def assert_kernel_matches_host(blk, xs):
+    xs = np.asarray(xs, dtype=np.int64)
+    want = [blk._eval_value(int(x)) for x in xs]
+    assert blk._many(xs).tolist() == want
+    assert apply_many(blk, xs).tolist() == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_prufer_decode_kernel_matches_host(n):
+    assert_kernel_matches_host(Builtin("prufer_decode", n=n), range(tree_count(n)))
+
+
+COVER_SIZES = [(k, m) for m in range(11) for k in range(m + 1)] + [(6, 18), (7, 14)]
+
+
+@pytest.mark.parametrize("k,m", COVER_SIZES)
+def test_cover_kernels_match_hosts(k, m):
+    assert_kernel_matches_host(Builtin("cover_encode", k=k, m=m), range(1 << m))
+    assert_kernel_matches_host(Builtin("cover_decode", k=k, m=m), range(binomial(m, k)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lexpair_kernels_match_hosts(n):
+    assert_kernel_matches_host(Builtin("lexpair_encode", n=n), range(1 << (2 * n)))
+    assert_kernel_matches_host(Builtin("lexpair_decode", n=n), range(pair_count(n)))
+
+
+@pytest.mark.parametrize("n", [26, 30, 31])
+def test_lexpair_decode_kernel_exact_past_float_precision(n):
+    # ranks at and next to the start of each first element's run, where a
+    # float square root of the (up to 64-bit) 8t+1 can land one run short
+    big = 1 << n
+    rng = np.random.default_rng(n)
+    a = np.concatenate([np.arange(40), big - 2 - np.arange(40), rng.integers(0, big - 1, 1000)])
+    starts = a * (2 * big - a - 1) // 2
+    ranks = np.unique(np.concatenate([starts - 1, starts, starts + 1]))
+    ranks = ranks[(ranks >= 0) & (ranks < pair_count(n))]
+    assert_kernel_matches_host(Builtin("lexpair_decode", n=n), ranks)
+
+
+def loop_error(blk, xs):
+    """The error of the per-value loop over the sorted distinct values."""
+    for x in sorted(set(xs)):
+        try:
+            blk._eval_value(x)
+        except OutOfRangeError as e:
+            return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name,params,limit", [
+    ("prufer_decode", {"n": 5}, 125),
+    ("cover_decode", {"k": 3, "m": 7}, 35),
+    ("lexpair_decode", {"n": 3}, 28),
+])
+def test_decoder_kernels_fail_like_the_loop(name, params, limit):
+    blk = Builtin(name, **params)
+    top = (1 << blk.in_width) - 1
+    assert_kernel_matches_host(blk, range(limit))
+    for xs in ([limit, 0, 1], [top, 2, limit + 1, 0, top], [3, top, limit, limit + 1],
+               [top, *range(limit + 1)][::-1]):
+        want = loop_error(blk, xs)
+        assert want is not None and want.startswith(f"rank {min(x for x in xs if x >= limit)} ")
+        for evaluate in (blk._many, lambda a: apply_many(blk, a)):
+            with pytest.raises(OutOfRangeError) as e:
+                evaluate(np.array(xs))
+            assert str(e.value) == want
+
+
+def test_builtin_runs_its_kernel_on_large_batches_only():
+    blk = Builtin("cover_decode", k=3, m=7)
+    host = blk._fn
+    calls = []
+    blk._fn = lambda r: calls.append(r) or host(r)
+    small, large = np.arange(KERNEL_MIN_VALUES - 1), np.arange(KERNEL_MIN_VALUES)
+    assert apply_many(blk, np.repeat(small, 3)).tolist() == [host(int(r)) for r in np.repeat(small, 3)]
+    assert calls == small.tolist()  # one host call per distinct value
+    calls.clear()
+    assert apply_many(blk, large).tolist() == [host(int(r)) for r in large]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -347,3 +347,14 @@ def test_ramsey_deterministic():
     assert ramsey_explicit(c) == ramsey_explicit(c)
     with pytest.raises(DomainError):
         ramsey_explicit(ColoringMatrix(1, np.zeros((1, 1), dtype=int)))
+
+
+def test_twin_triangle_scan_refuses_wide_vertex_sets():
+    # n=5 has 1024 vertices, about 1.07e9 ordered triples: the scan must
+    # refuse before laying them out
+    t0 = time.perf_counter()
+    inst = gen_random_instance(ProblemId("ws_collisions"), 5, 0)
+    scan = inst.pid.spec.clauses["iv"].scan(inst, eval_all(inst.circuit), 0, 1 << 10)
+    with pytest.raises(CapabilityError, match="vertex triples"):
+        next(scan)
+    assert time.perf_counter() - t0 < 2.0
