@@ -284,13 +284,6 @@ class GateNet(Circuit):
         return out.astype(np.int64)
 
 
-# Fewest distinct values a Builtin's array kernel runs on.  A kernel makes
-# tens of numpy calls whatever the batch size (80-180 us for the registered
-# codecs on a 2-vCPU x86 host) where the host takes 2-15 us a value, so
-# smaller batches, such as the soundness battery's, run the host value by
-# value.
-KERNEL_MIN_VALUES = 32
-
 # Builtin blocks are registered by the encodings module at import time.
 _BUILTIN_FACTORIES: dict[str, Callable[..., tuple[
     int, int, Callable[[int], int], Callable[[np.ndarray], np.ndarray] | None]]] = {}
@@ -308,9 +301,9 @@ class Builtin(Circuit):
 
     Partial hosts (decoders) only raise if an out-of-range value is actually
     queried.  Vector evaluation runs the block's array kernel on the distinct
-    input values, or the host on each of them when the block has no kernel
-    or the values are fewer than KERNEL_MIN_VALUES; either way a batch fails
-    as the host fails on its smallest out-of-range value.
+    input values, or the host on each of them when the block has no kernel;
+    either way a batch fails as the host fails on its smallest out-of-range
+    value.
     """
 
     def __init__(self, name: str, **params: int):
@@ -330,7 +323,7 @@ class Builtin(Circuit):
         if self.out_width > MAX_VECTOR_WIDTH:
             raise DomainError(f"block outputs wider than vector limit {MAX_VECTOR_WIDTH}")
         uniq, inv = np.unique(xs, return_inverse=True)
-        if self._many is not None and len(uniq) >= KERNEL_MIN_VALUES:
+        if self._many is not None:
             vals = self._many(uniq)
         else:
             vals = np.array([self._fn(int(u)) for u in uniq], dtype=np.int64)

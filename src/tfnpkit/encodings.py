@@ -3,8 +3,8 @@ table for uniform set partitions.
 
 Every codec is a pair of host functions (encode/decode on BitStrings) and is
 also registered as a named circuit block, so instance circuits can embed it.
-The cover, lexpair and Prüfer-decode blocks also carry a numpy kernel that
-vector evaluation runs on large batches, with the host's outputs and errors.
+The cover-decode, lexpair-encode and Prüfer-decode blocks also carry a numpy
+kernel that vector evaluation runs, with the host's outputs and errors.
 Decoders are partial: ranks beyond the counted range raise OutOfRangeError,
 which turns an out-of-contract evaluation into a loud failure instead of
 silently wrong data.  Encoders are total, with fixed documented extensions on
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Callable, Iterable
 
@@ -584,40 +584,18 @@ def check_property_preserving(
 # in range only
 
 
-def _comb_rows(m: int, k: int) -> list[np.ndarray]:
+@cache
+def _comb_table(m: int, k: int) -> np.ndarray:
     """Row i holds C(m-1-i, j) for j = 0..k: the rank term of a 1 at
     position i with j ones still to place."""
-    return [np.array([math.comb(m - 1 - i, j) for j in range(k + 1)], dtype=np.int64)
-            for i in range(m)]
-
-
-def _cover_encode_many(vs: np.ndarray, m: int, k: int) -> np.ndarray:
-    # off-weight values clamp down to the largest weight-k value below them,
-    # the value _clamp_to_weight picks, or to 0 (rank 0) when there is none
-    best = np.zeros_like(vs)
-    ones = np.zeros_like(vs)
-    for i in range(m):
-        bit = (vs >> (m - 1 - i)) & 1
-        need, rest = k - ones, m - 1 - i
-        fits = (bit == 1) & (need >= 0) & (need <= rest)
-        need = np.clip(need, 0, rest)
-        prefix = (vs >> (m - i)) << (m - i)
-        best = np.where(fits, prefix | (((1 << need) - 1) << (rest - need)), best)
-        ones += bit
-    vs = np.where(ones == k, vs, best)
-    rank = np.zeros_like(vs)
-    rem = np.full_like(vs, k)
-    for i, row in enumerate(_comb_rows(m, k)):
-        bit = (vs >> (m - 1 - i)) & 1
-        rank += bit * row[rem]
-        rem -= bit
-    return rank
+    return np.array([[math.comb(m - 1 - i, j) for j in range(k + 1)] for i in range(m)],
+                    dtype=np.int64).reshape(m, k + 1)
 
 
 def _cover_decode_many(rs: np.ndarray, m: int, k: int) -> np.ndarray:
     vs = np.zeros_like(rs)
     rem = np.full_like(rs, k)
-    for i, row in enumerate(_comb_rows(m, k)):
+    for i, row in enumerate(_comb_table(m, k)):
         c = row[rem]
         take = rs >= c
         vs |= take.astype(np.int64) << (m - 1 - i)
@@ -632,28 +610,19 @@ def _lexpair_encode_many(uvs: np.ndarray, n: int) -> np.ndarray:
     return np.where(u == v, 0, a * (2 * (1 << n) - a - 1) // 2 + b - a - 1)
 
 
-def _lexpair_decode_many(rs: np.ndarray, n: int) -> np.ndarray:
-    big = 1 << n
-    # t pairs run from rank r to the end; the first element a leaves
-    # T(j) = j(j+1)/2 pairs from a on, j = big-1-a, so j is the least one
-    # with T(j) >= t.  A float square root estimates it.  Where 8t+1 is too
-    # wide for a float the estimate can fall one short, never over: up to
-    # n = 31 rounding moves the root by under half a unit in its last place,
-    # so an exact odd root 2j+1 comes back exact.  One step up corrects it.
-    t = pair_count(n) - rs
-    j = np.ceil((np.sqrt(8 * t.astype(np.float64) + 1) - 1) / 2).astype(np.int64)
-    j += j * (j + 1) // 2 < t
-    a = big - 1 - j
-    b = a + 1 + j * (j + 1) // 2 - t
-    return (a << n) | b
-
-
-def _prufer_decode_many(rs: np.ndarray, n: int) -> np.ndarray:
+@cache
+def _edge_bit_table(n: int) -> np.ndarray:
+    """Entry (i, j) holds the bitmap bit of edge {i, j} on vertices 1..n."""
     w = edge_count(n)
     bit = np.zeros((n + 1, n + 1), dtype=np.int64)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             bit[i, j] = bit[j, i] = 1 << (w - 1 - edge_bit_index(n, i, j))
+    return bit
+
+
+def _prufer_decode_many(rs: np.ndarray, n: int) -> np.ndarray:
+    bit = _edge_bit_table(n)
     # the sequence's digits, most significant first, as vertices 1..n
     seq = [(rs // n ** (n - 3 - p)) % n + 1 for p in range(n - 2)]
     rows = np.arange(len(rs))
@@ -689,8 +658,7 @@ def _decoder(limit: int, host: Callable[[int], int], kernel):
 
 
 def _cover_encode_block(k: int, m: int):
-    return (m, cover_width(k, m), lambda v: _cover_encode_value(v, m, k),
-            lambda vs: _cover_encode_many(vs, m, k))
+    return m, cover_width(k, m), lambda v: _cover_encode_value(v, m, k), None
 
 
 def _cover_decode_block(k: int, m: int):
@@ -707,11 +675,7 @@ def _lexpair_encode_block(n: int):
 
 
 def _lexpair_decode_block(n: int):
-    def host(r):
-        return _lexpair_decode_value(r, n)
-
-    return (lexpair_width(n), 2 * n, host,
-            _decoder(pair_count(n), host, lambda rs: _lexpair_decode_many(rs, n)))
+    return lexpair_width(n), 2 * n, lambda r: _lexpair_decode_value(r, n), None
 
 
 def _prufer_encode_block(n: int):
