@@ -137,17 +137,16 @@ def _tree_mask(n: int, outs: np.ndarray) -> np.ndarray:
 def _collision_pairs(outs: np.ndarray, lo: int, hi: int,
                      first_ok=None, second_ok=None) -> Iterator[tuple[int, int]]:
     """Ordered pairs (x, y), x != y, outs[x] == outs[y], ascending (x, y)."""
-    values, inverse, counts = np.unique(outs, return_inverse=True, return_counts=True)
-    colliding = counts[inverse] >= 2
-    groups: dict[int, np.ndarray] = {}
-    xs = np.flatnonzero(colliding[lo:hi]) + lo
+    values, counts = np.unique(outs, return_counts=True)
+    xs = np.flatnonzero(np.isin(outs[lo:hi], values[counts >= 2])) + lo
     if first_ok is not None:
         xs = xs[first_ok[xs]]
+    groups: dict[int, np.ndarray] = {}
     for x in xs:
         x = int(x)
-        key = int(inverse[x])
+        key = int(outs[x])
         if key not in groups:
-            groups[key] = np.flatnonzero(inverse == key)
+            groups[key] = np.flatnonzero(outs == key)
         mates = groups[key]
         if second_ok is not None:
             mates = mates[second_ok[mates]]

@@ -11,18 +11,19 @@ Nodes are evaluated as a tree, by one of two interpreters.  ``apply_many``
 maps a numpy array of input values to an array of output values and is what
 makes exhaustive solving affordable; it only evaluates piecewise branches on
 the inputs they are selected for, so partial decoders stay safe inside
-guarded constructions.  ``eval_all`` runs it once over every input value and
-caches the result on the circuit as one read-only int64 array (32 MB at
-in_width 22).  ``Circuit.eval`` and ``Circuit.value_at`` map one input to one
-output: they index that table when the circuit has one, and otherwise run
-the scalar interpreter ``_eval_value``, memoized per circuit.  Their array
-form ``values_at`` indexes the table too, and otherwise runs ``apply_many``
-on just the points asked for, never tabulating the circuit.  A
-``GateNet`` evaluates on bit-planes: one uint8 array per gate (4 MB at
-in_width 22 rather than 32 MB), with inputs and outputs held in the narrowest
-unsigned dtype until the int64 result is formed.  A ``Table`` keeps its rows
-as one read-only int64 array, which is also its ``eval_all`` table; rows
-wider than 62 bits stay a tuple of exact Python ints.
+guarded constructions.  ``eval_all`` runs it over every input value, in
+blocks of 2**16 consecutive inputs, and caches the result on the circuit as
+one read-only int64 array (32 MB at in_width 22).  ``Circuit.eval`` and
+``Circuit.value_at`` map one input to one output: they index that table when
+the circuit has one, and otherwise run the scalar interpreter
+``_eval_value``, memoized per circuit.  Their array form ``values_at``
+indexes the table too, and otherwise runs ``apply_many`` on just the points
+asked for, never tabulating the circuit.  A ``GateNet`` evaluates on
+bit-planes: one uint8 array per gate (64 KB for an ``eval_all`` block rather
+than 512 KB), with inputs and outputs held in the narrowest unsigned dtype
+until the int64 result is formed.  A ``Table`` keeps its rows as one
+read-only int64 array, which is also its ``eval_all`` table; rows wider than
+62 bits stay a tuple of exact Python ints.
 
 Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
 header followed by one node.  ``to_text`` writes leaf content lines (table
@@ -39,6 +40,7 @@ time, which reports the first bad row with its line number.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +51,9 @@ from .numerics import BitString, bits_of
 
 MAX_TABLE_WIDTH = 20
 MAX_VECTOR_WIDTH = 62  # apply_many packs values into int64
+# eval_all inputs per apply_many call: 2**16 keeps a GateNet bit-plane at
+# 64 KB and an int64 intermediate at 512 KB, about the size of an L2 cache
+_EVAL_BLOCK = 1 << 16
 
 # Deepest nesting a circuit may have, counted in nodes from the root to the
 # deepest leaf, as the text form nests them.  The combinators refuse to build
@@ -140,13 +145,21 @@ def values_at(c: Circuit, xs: np.ndarray) -> np.ndarray:
 def eval_all(c: Circuit) -> np.ndarray:
     """Outputs of c on every input value 0 .. 2**in_width - 1, in order.
 
-    The table is computed once and kept on the circuit as a read-only array;
-    later calls return that same array and point evaluations index it.
+    The table is filled by ``apply_many`` in blocks of ``_EVAL_BLOCK``
+    consecutive inputs, so every intermediate array stays cache-sized.  A
+    failing block raises as ``apply_many`` does on that block and leaves the
+    circuit without a table.  The table is computed once and kept on the
+    circuit as a read-only array; later calls return that same array and
+    point evaluations index it.
     """
     if c._table is None:
         if c.in_width > 22:
             raise DomainError(f"eval_all capped at in_width 22, got {c.in_width}")
-        table = apply_many(c, np.arange(1 << c.in_width, dtype=np.int64))
+        size = 1 << c.in_width
+        table = np.empty(size, dtype=np.int64)
+        for lo in range(0, size, _EVAL_BLOCK):
+            hi = min(size, lo + _EVAL_BLOCK)
+            table[lo:hi] = apply_many(c, np.arange(lo, hi, dtype=np.int64))
         table.flags.writeable = False
         c._table = table
     return c._table
@@ -258,7 +271,7 @@ class GateNet(Circuit):
 
     def _apply_many(self, xs):
         # one uint8 bit-plane per gate, and inputs and outputs in the narrowest
-        # unsigned dtype that holds them: at in_width 22 a gate takes 4 MB
+        # unsigned dtype that holds them: in an eval_all block a gate takes 64 KB
         w = self.in_width
         one = np.uint8(1)
         xu = xs.astype(np.min_scalar_type((1 << w) - 1))
@@ -303,7 +316,8 @@ class Builtin(Circuit):
     queried.  Vector evaluation runs the block's array kernel on the distinct
     input values, or the host on each of them when the block has no kernel;
     either way a batch fails as the host fails on its smallest out-of-range
-    value.
+    value.  ``eval_all`` passes its inputs in blocks, so a failing table
+    reports the smallest out-of-range value of the first block that has one.
     """
 
     def __init__(self, name: str, **params: int):
@@ -960,7 +974,14 @@ class _Parser:
                     raise ParseError(f"unknown gate op {op!r}", ln)
                 ids[name] = len(gates) - 1
         if word == "BLOCK":
-            return Builtin(attrs.pop("_name"), **{k: int(v) for k, v in attrs.items()})
+            name = attrs.pop("_name")
+            params = {k: int(v) for k, v in attrs.items()}
+            if name in _BUILTIN_FACTORIES:
+                try:
+                    inspect.signature(_BUILTIN_FACTORIES[name]).bind(**params)
+                except TypeError as e:
+                    raise ParseError(f"block {name}: {e}", lineno) from e
+            return Builtin(name, **params)
         if word == "COMPOSE":
             f = self.parse_node(kid)
             g = self.parse_node(kid)

@@ -1,13 +1,16 @@
 """Command-line surface for reproducible batch runs.
 
 Exit codes: 0 success or accepted; 1 rejected verification or failed check
-(with a final ``RESULT: PASS|FAIL`` line); 2 usage or parse errors.  All
-commands are deterministic given argv, input files, and seeds.
+(with a final ``RESULT: PASS|FAIL`` line); 2 usage or parse errors; 141, with
+no traceback, when the reader closes standard output early (``... | head``).
+All commands are deterministic given argv, input files, and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -311,6 +314,7 @@ def _cmd_baranyai(args) -> int:
 # wiring
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tfnpkit",
@@ -375,9 +379,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): stop quietly, and point
+        # stdout at /dev/null so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a tool killed by it
+
+
+def _main(argv: list[str] | None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tfnpkit.circuit as circuit_mod
 from tfnpkit.circuit import (
     MAX_PARSE_DEPTH,
     Builtin,
@@ -278,6 +279,42 @@ def test_eval_all_table_is_cached_and_read_only():
     assert [c.eval(BitString(3, v)).value for v in range(8)] == list(table)
 
 
+def test_blocked_eval_all_matches_one_shot_apply_many(monkeypatch):
+    # 18 input bits: four 2**16-input blocks through a GateNet fold, a Table,
+    # Parallel and Slice, and Builtins with and without an array kernel
+    rows = np.random.default_rng(11).integers(0, 1 << 16, 1 << 16)
+    core = Compose(Table(16, 16, rows), _fold_circuit(18, 16))
+    blocks = Compose(Parallel(Builtin("prufer_decode", n=4), Builtin("chain_rep", n=4)),
+                     Slice(core, 2, 14))
+    assert blocks.f.f._many is not None and blocks.f.g._many is None
+    split = Parallel(Table(2, 2, [3, 1, 0, 2]), _fold_circuit(16, 8))
+    c = fanout([core, blocks, split])
+    assert c.in_width == 18
+    want = apply_many(c, np.arange(1 << 18))
+    calls = []
+    monkeypatch.setattr(circuit_mod, "apply_many",
+                        lambda c, xs: calls.append(len(xs)) or apply_many(c, xs))
+    got = eval_all(c)
+    assert calls == [1 << 16] * 4
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    for v in (0, 65535, 65536, 131071, 131072, (1 << 18) - 1):
+        assert int(got[v]) == c._eval_value(v)
+
+
+def test_blocked_eval_all_fails_like_one_shot_and_keeps_no_table():
+    # ranks below C(22, 6) = 74613 decode: the first block is all in range,
+    # the second holds the first out-of-range rank
+    c = Builtin("cover_decode", k=6, m=22)
+    assert c.in_width == 17
+    with pytest.raises(DomainError) as one_shot:
+        apply_many(c, np.arange(1 << 17))
+    assert apply_many(c, np.arange(1 << 16)).shape == (1 << 16,)
+    with pytest.raises(type(one_shot.value)) as blocked:
+        eval_all(c)
+    assert str(blocked.value) == str(one_shot.value)
+    assert c._table is None
+
+
 def test_serialization_round_trip():
     inner = Compose(
         Piecewise((
@@ -509,6 +546,16 @@ def test_table_rows_are_one_read_only_array():
     assert wide.eval(BitString(1, 1)).value == (1 << 64) - 1
     with pytest.raises(DomainError):
         apply_many(Slice(wide, 0, 8), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("params, message", [
+    ("k=2", "missing a required argument: 'm'"),
+    ("k=2 m=4 z=1", "unexpected keyword argument 'z'"),
+])
+def test_block_with_missing_or_unknown_parameter_is_a_parse_error(params, message):
+    with pytest.raises(ParseError, match=message) as e:
+        from_text(f"CIRCUIT in=4 out=4\nBLOCK cover_encode {params}\n")
+    assert e.value.line == 2
 
 
 def test_header_rejects_negative_widths():

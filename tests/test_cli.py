@@ -4,13 +4,14 @@ Each command is driven through main(argv) in process; one subprocess case
 confirms the installed entry point wires up the same function.
 """
 
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-from tfnpkit.cli import main
+from tfnpkit.cli import _build_parser, main
 from tfnpkit.numerics import BitString
 from tfnpkit.problems import (
     instance_from_text,
@@ -285,6 +286,55 @@ def test_deeply_nested_circuit_is_a_parse_error(capsys, tmp_path):
     sol.write_text("SOLUTION type=i\nWITNESS x=1\n")
     code, _, err = run(capsys, "verify", "--inst", str(inst), "--sol", str(sol))
     assert code == 2 and "nested deeper" in err
+
+
+@pytest.mark.parametrize("params", ["k=2", "k=2 m=4 z=1"])
+def test_bad_block_parameters_are_a_parse_error(capsys, tmp_path, params):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"PROBLEM pigeon\nPARAM n=4\nCIRCUIT in=4 out=4\nBLOCK cover_encode {params}\n")
+    code, _, err = run(capsys, "solve", "--inst", str(inst))
+    assert code == 2 and "line 4: block cover_encode" in err and "Traceback" not in err
+
+
+def test_closed_output_pipe_ends_quietly():
+    # the instance text (about 100 KB) outgrows the pipe buffer, so the
+    # writer meets the pipe its reader closed after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tfnpkit.cli", "gen", "weak_pigeon", "12", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"PROBLEM weak_pigeon\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+
+
+def test_output_pipe_closed_before_a_short_write_ends_quietly():
+    # with stdout block-buffered, a short text waits in the buffer until
+    # the final flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        got = subprocess.run(
+            [sys.executable, "-m", "tfnpkit.cli", "gen", "pigeon", "2", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (got.returncode, got.stderr) == (141, "")
+
+
+def test_repeated_calls_share_no_arguments(capsys, tmp_path):
+    # the parser is built once per process; no call's arguments leak to the next
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "inst.txt"
+    assert main(["gen", "pigeon", "2", "0", "--out", str(out)]) == 0
+    code, printed, _ = run(capsys, "gen", "pigeon", "2", "0")
+    assert code == 0 and printed == out.read_text()
+    assert run(capsys, "solve")[0] == 2
 
 
 def test_bad_circuit_header_is_a_parse_error(capsys, tmp_path):

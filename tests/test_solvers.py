@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from tfnpkit.catalog import _popcount, _tree_mask
+from tfnpkit.catalog import _collision_pairs, _popcount, _tree_mask
 from tfnpkit.circuit import Table, eval_all
 from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
@@ -159,6 +159,60 @@ def test_fuzz_instance_folds_wide_inputs():
     assert wellformed(inst).ok
     out = inst.circuit.eval(bits_of(0, 20))
     assert out.width == 5
+
+
+def collision_pairs_by_inverse(outs, lo, hi, first_ok=None, second_ok=None):
+    """The collision scan as written on np.unique(return_inverse=True): the
+    reference for the pair order the battery's enumeration depends on."""
+    values, inverse, counts = np.unique(outs, return_inverse=True, return_counts=True)
+    colliding = counts[inverse] >= 2
+    groups = {}
+    xs = np.flatnonzero(colliding[lo:hi]) + lo
+    if first_ok is not None:
+        xs = xs[first_ok[xs]]
+    for x in xs:
+        x = int(x)
+        key = int(inverse[x])
+        if key not in groups:
+            groups[key] = np.flatnonzero(inverse == key)
+        mates = groups[key]
+        if second_ok is not None:
+            mates = mates[second_ok[mates]]
+        for y in mates:
+            y = int(y)
+            if y != x:
+                yield (x, y)
+
+
+def test_collision_pairs_match_the_inverse_scan():
+    rng = np.random.default_rng(3)
+    tables = {
+        "random": rng.integers(0, 40, 300),
+        "wide random": rng.integers(-(1 << 40), 1 << 40, 300) | 1,
+        "constant": np.full(48, 7),
+        "injective": rng.permutation(300),
+        "one pair": np.r_[np.arange(100), 42],
+    }
+    for label, outs in tables.items():
+        outs = np.asarray(outs, dtype=np.int64)
+        size = len(outs)
+        for first_ok, second_ok in [(None, None),
+                                    (rng.random(size) < 0.5, None),
+                                    (None, rng.random(size) < 0.5),
+                                    (rng.random(size) < 0.7, rng.random(size) < 0.3)]:
+            for chunks in (1, 2, 3):
+                cuts = [0, *sorted(rng.integers(0, size + 1, chunks - 1).tolist()), size]
+                total = []
+                for lo, hi in zip(cuts, cuts[1:]):
+                    got = list(_collision_pairs(outs, lo, hi, first_ok, second_ok))
+                    assert got == list(collision_pairs_by_inverse(
+                        outs, lo, hi, first_ok, second_ok)), (label, lo, hi)
+                    total += got
+                assert total == list(collision_pairs_by_inverse(
+                    outs, 0, size, first_ok, second_ok)), label
+    # a table without collisions yields nothing; a constant one yields every pair
+    assert list(_collision_pairs(np.arange(5), 0, 5)) == []
+    assert len(list(_collision_pairs(np.zeros(6, dtype=np.int64), 0, 6))) == 30
 
 
 def test_popcount_matches_bin_count():
