@@ -211,12 +211,12 @@ def _cmd_solve(args) -> int:
 # reduce / pullback
 
 
-def _find_entry(name: str) -> Entry:
+def _find_entry(key: int | str) -> Entry:
     try:
-        return lookup(name)
+        return lookup(key)
     except DomainError:
         raise ParseError(
-            f"unknown reduction {name!r}; see `tfnpkit check all` for the registry") from None
+            f"unknown reduction {key!r}; see `tfnpkit check all` for the registry") from None
 
 
 def _entry_params(name: str, inst, overrides: dict[str, str]) -> dict:
@@ -267,7 +267,8 @@ def _cmd_check(args) -> int:
     if args.target == "all":
         picked = registry()
     else:
-        picked = [(_find_entry(args.target).index, args.target)]
+        row = _find_entry(int(args.target) if args.target.isdecimal() else args.target)
+        picked = [(row.index, row.name)]
     all_ok = True
     for idx, name in picked:
         t0 = time.perf_counter()
@@ -361,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("check", help="fuzz reduction soundness over the registry")
-    p.add_argument("target", help="a reduction name or 'all'")
+    p.add_argument("target", help="a reduction name, a registry index or 'all'")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_check)

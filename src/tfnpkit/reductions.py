@@ -22,10 +22,11 @@ its pull-back over an (N, k) int array of target witness tuples of one tag.
 It returns groups ``(source tag, source rows, index)``: ``source rows`` is an
 int array of source witness tuples and ``index`` the target row each came
 from.  A target row for which ``translate`` raises is in no group.  The
-identity entries 18 and 19, the shrink-chain entry 17 and the ws band entries
-21 and 27 give one; the fuzz harness checks such an entry's rows in batches
-and falls back to the per-solution ``pullback`` for every other entry.
-``translate`` stays the reference, and the CLI's ``pullback`` uses it.
+shrink-chain entries 2, 5, 14 and 17, the identity entries 18 and 19 and the
+ws band entries 21 and 27 give one; the fuzz harness checks such an entry's
+rows in batches.  Entry 20 and the other set, tree and graph entries give
+none and are checked through the per-solution ``pullback``.  ``translate``
+stays the reference, and the CLI's ``pullback`` uses it.
 
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
@@ -316,14 +317,22 @@ def _chain_collisions_many(cprime: Circuit, w_in: int, w_out: int, a: np.ndarray
 
 def _shrunk_pullback(src: ProblemId, w_in: int, w_out: int):
     """Pull-back of an image built on the shrink-chain compressor (entries 2,
-    5 and 14): only collisions occur, and each replays to a source collision."""
+    5 and 14), as the ``Reduction`` fields ``translate`` and
+    ``translate_many``: only collisions occur, and each replays to a source
+    collision."""
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         if sol.tag != "ii":
             raise IntegrityError(f"the compressed image avoids type {sol.tag}")
         return _chain_collision(src, inst.circuit, w_in, w_out, sol.get("x"), sol.get("y"))
 
-    return translate
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        if tag != "ii":
+            return []
+        u, t = _chain_collisions_many(inst.circuit, w_in, w_out, rows[:, 0], rows[:, 1])
+        return [("ii", u, t)]
+
+    return {"translate": translate, "translate_many": translate_many}
 
 
 def _guarded_map_pullback(src: ProblemId, m: int, zero_tag: str, thr: Optional[int] = None):
@@ -523,7 +532,7 @@ def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
     return Reduction(
         source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "alpha": alpha},
-        transform=transform, translate=_shrunk_pullback(src, alpha, alpha - 2),
+        transform=transform, **_shrunk_pullback(src, alpha, alpha - 2),
         note="shrink the compressor two bits, then decode ranks into disjoint-free sets",
     )
 
@@ -607,7 +616,7 @@ def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
     return Reduction(
         source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "k": k, "n": n, "shift": t},
-        transform=transform, translate=_shrunk_pullback(src, gamma + 1, alpha - 1 - a),
+        transform=transform, **_shrunk_pullback(src, gamma + 1, alpha - 1 - a),
         note="shift shrunk ranks into the top band whose sets share the first element",
     )
 
@@ -832,7 +841,7 @@ def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
     return Reduction(
         source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m, "n": n, "beta": beta},
-        transform=transform, translate=_shrunk_pullback(src, beta + 1, beta - 1),
+        transform=transform, **_shrunk_pullback(src, beta + 1, beta - 1),
         note="shrink one bit and decode low tree ranks; images are always trees",
     )
 

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 WIDTH_CAP = 22
+MAX_PARALLELISM = 64
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,9 @@ class SolveBudget:
     def __post_init__(self):
         if self.max_in_width > WIDTH_CAP:
             raise DomainError(f"width cap {self.max_in_width} exceeds the hard limit {WIDTH_CAP}")
-        if self.parallelism < 1:
-            raise DomainError("parallelism must be at least 1")
+        if not 1 <= self.parallelism <= MAX_PARALLELISM:
+            raise DomainError(f"parallelism must be between 1 and {MAX_PARALLELISM}, "
+                              f"got {self.parallelism}")
 
 
 def _solutions(inst: ProblemInstance, tag: str, rows: list) -> list[Solution]:
@@ -231,12 +233,13 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     (their six-witness solutions grow quadratically in the triple count);
     wider targets cap every type.
 
-    An entry whose reduction gives ``translate_many`` takes the batch path:
-    each tag's target rows get one target ``check_many``, one
-    ``translate_many`` and one source ``check_many`` per source tag, and each
-    row the batch rejects counts as one failure, reported through the scalar
-    ``pullback`` of that row.  Every other entry pulls back one ``Solution``
-    at a time.
+    An entry whose reduction gives ``translate_many`` (2, 5, 14, 17, 18, 19,
+    21 and 27) takes the batch path: each tag's target rows get one target
+    ``check_many``, one ``translate_many`` and one source ``check_many`` per
+    source tag, and each row the batch rejects counts as one failure,
+    reported through the scalar ``pullback`` of that row.  Every other entry,
+    entry 20 and the remaining set, tree and graph entries, pulls back one
+    ``Solution`` at a time.
 
     The report counts the cases run, the target solutions pulled back, the
     cases whose enumeration hit the per-type cap (``truncated_cases``) and

@@ -30,7 +30,8 @@ from tfnpkit.solvers import (
     solution_rows,
 )
 
-BATCH_ENTRIES = (17, 18, 19, 21, 27)
+BATCH_ENTRIES = (2, 5, 14, 17, 18, 19, 21, 27)
+SHRUNK_ENTRIES = (2, 5, 14)
 TUPLE_SPACE_CAP = 1 << 16
 
 
@@ -164,6 +165,30 @@ def test_translate_many_matches_translate(idx):
     assert covered
     if idx not in (18, 19):  # the identity pull-back never raises
         assert compared > covered
+
+
+@pytest.mark.parametrize("idx", SHRUNK_ENTRIES)
+def test_shrunk_pullback_groups_exactly_the_target_collisions(idx):
+    """Planted rows for the shrink-chain entries: every target collision of
+    distinct inputs is in a group, and the rows the scalar translate raises
+    on are in none: x == y, every pair the target maps apart (some of them
+    would meet one stage past the chain's end), and every row of a tag other
+    than ii."""
+    red = build_entry(idx)
+    for seed in range(3):
+        inst = fuzz_instance(red.source, red.source_n, seed)
+        tgt = apply(red, inst)
+        outs = eval_all(tgt.circuit)
+        for tag in tgt.pid.spec.clauses:
+            rows = _tuples(tgt, tag)
+            if tag == "ii":
+                x, y = rows[:, 0], rows[:, 1]
+                genuine = (outs[x] == outs[y]) & (x != y)
+                [(got_tag, _, at)] = red.translate_many(inst, tag, rows[genuine])
+                assert got_tag == "ii" and sorted(at.tolist()) == list(range(genuine.sum()))
+                rows = rows[~genuine]
+            assert sum(len(at) for _, _, at in red.translate_many(inst, tag, rows)) == 0, tag
+            assert all(_scalar(red, inst, tgt, tag, row) is None for row in rows.tolist()), tag
 
 
 def _without_batch(monkeypatch):

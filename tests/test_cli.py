@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import tfnpkit.solvers as solvers
 from tfnpkit.cli import _build_parser, main
 from tfnpkit.numerics import BitString
 from tfnpkit.problems import (
@@ -94,14 +95,29 @@ def test_gen_verify_solve_pipeline(capsys, tmp_path):
     assert code == 0 and "RESULT: PASS" in out
 
     par = tmp_path / "par.txt"
-    code, _, _ = run(capsys, "solve", "--inst", str(inst_file), "--parallelism", "4",
-                     "--out", str(par))
-    assert code == 0 and par.read_text() == sol_file.read_text()
+    for p in ("1", "2", "3", "4"):
+        code, _, _ = run(capsys, "solve", "--inst", str(inst_file), "--parallelism", p,
+                         "--out", str(par))
+        assert code == 0 and par.read_text() == sol_file.read_text()
 
     # break the witness: flip the tag onto a wrong-arity shape
     sol_file.write_text("SOLUTION type=ii\nWITNESS x=000\n")
     code, out, _ = run(capsys, "verify", "--inst", str(inst_file), "--sol", str(sol_file))
     assert code == 1 and "RESULT: FAIL" in out
+
+
+def test_solve_refuses_parallelism_above_the_cap(capsys, tmp_path, monkeypatch):
+    """An oversized --parallelism exits 2 before any thread starts."""
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was opened")
+
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", no_pool)
+    inst_file = tmp_path / "inst.txt"
+    run(capsys, "gen", "weak_pigeon", "4", "0", "--out", str(inst_file))
+    for p in ("65", "100000"):
+        code, out, err = run(capsys, "solve", "--inst", str(inst_file), "--parallelism", p)
+        assert code == 2 and f"parallelism must be between 1 and 64, got {p}" in err and not out
 
 
 def test_gen_parameter_requirements(capsys):
@@ -226,6 +242,22 @@ def test_negative_trials_exit_2_with_a_message(capsys):
 def test_check_unknown_entry(capsys):
     code, _, err = run(capsys, "check", "bogus_entry")
     assert code == 2 and "unknown reduction" in err
+    for index in ("0", "28"):
+        code, out, err = run(capsys, "check", index, "--trials", "1")
+        assert code == 2 and f"unknown reduction {index}" in err and not out
+
+
+def test_check_by_registry_index(capsys):
+    """`check 5` runs entry 5 and prints the line `check NAME` prints."""
+
+    def line(target):
+        code, out, _ = run(capsys, "check", target, "--trials", "1")
+        assert code == 0
+        return re.sub(r"seconds=\S+", "", out)
+
+    by_index = line("5")
+    assert by_index.startswith("entry  5 weak_pigeon_to_weak_gekr ")
+    assert by_index == line("weak_pigeon_to_weak_gekr")
 
 
 def test_ramsey_command(capsys, tmp_path):

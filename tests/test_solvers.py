@@ -25,6 +25,7 @@ from tfnpkit.problems import (
     witness_names,
 )
 from tfnpkit.solvers import (
+    MAX_PARALLELISM,
     ColoringMatrix,
     SolveBudget,
     brute_force_solve,
@@ -115,8 +116,10 @@ def test_truncation_flag_and_cap():
 def test_budget_guards():
     with pytest.raises(DomainError):
         SolveBudget(max_in_width=30)
-    with pytest.raises(DomainError):
-        SolveBudget(parallelism=0)
+    for p in (0, MAX_PARALLELISM + 1):
+        with pytest.raises(DomainError, match="parallelism must be between 1 and 64"):
+            SolveBudget(parallelism=p)
+    assert SolveBudget(parallelism=MAX_PARALLELISM).parallelism == MAX_PARALLELISM == 64
     inst = gen_random_instance(ProblemId("weak_pigeon"), 4, 0)
     with pytest.raises(CapabilityError):
         enumerate_solutions(inst, SolveBudget(max_in_width=4))
