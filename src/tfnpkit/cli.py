@@ -42,8 +42,9 @@ from .problems import (
 )
 from .reductions import (
     Entry,
+    Reduction,
     apply as apply_reduction,
-    build_reduction,
+    build_entry,
     lookup,
     pullback as pullback_reduction,
     registry,
@@ -211,17 +212,19 @@ def _cmd_solve(args) -> int:
 # reduce / pullback
 
 
-def _find_entry(key: int | str) -> Entry:
+def _find_entry(key: str) -> Entry:
+    """The registry row a command names by its index or its name."""
+    wanted = int(key) if key.isdecimal() else key
     try:
-        return lookup(key)
+        return lookup(wanted)
     except DomainError:
         raise ParseError(
-            f"unknown reduction {key!r}; see `tfnpkit check all` for the registry") from None
+            f"unknown reduction {wanted!r}; see `tfnpkit check all` for the registry") from None
 
 
-def _entry_params(name: str, inst, overrides: dict[str, str]) -> dict:
+def _entry_params(row: Entry, inst, overrides: dict[str, str]) -> dict:
     """Builder parameters inferred from the source instance plus overrides."""
-    params = dict(_find_entry(name).defaults)
+    params = dict(row.defaults)
     for key in params:
         if key in ("n", "m"):
             params[key] = inst.n
@@ -231,9 +234,14 @@ def _entry_params(name: str, inst, overrides: dict[str, str]) -> dict:
             params[key] = inst.pid.r
     for key in overrides:
         if key not in params:
-            raise ParseError(f"{name} takes no parameter {key!r} (has {sorted(params)})")
-        params[key] = _int_param(overrides, key, name)
+            raise ParseError(f"{row.name} takes no parameter {key!r} (has {sorted(params)})")
+        params[key] = _int_param(overrides, key, row.name)
     return params
+
+
+def _build(key: str, inst, overrides: dict[str, str]) -> Reduction:
+    row = _find_entry(key)
+    return build_entry(row.index, **_entry_params(row, inst, overrides))
 
 
 def _cmd_reduce(args) -> int:
@@ -241,7 +249,7 @@ def _cmd_reduce(args) -> int:
     overrides, rest = _split_params(args.param or [])
     if rest:
         raise ParseError(f"--param takes key=value tokens, got {rest}")
-    red = build_reduction(args.name, **_entry_params(args.name, inst, overrides))
+    red = _build(args.name, inst, overrides)
     tgt = apply_reduction(red, inst)
     _emit(instance_to_text(tgt), args.out)
     return 0
@@ -253,7 +261,7 @@ def _cmd_pullback(args) -> int:
     overrides, rest = _split_params(args.param or [])
     if rest:
         raise ParseError(f"--param takes key=value tokens, got {rest}")
-    red = build_reduction(args.name, **_entry_params(args.name, inst, overrides))
+    red = _build(args.name, inst, overrides)
     back = pullback_reduction(red, inst, sol)
     _emit(solution_to_text(back), args.out)
     return 0
@@ -267,7 +275,7 @@ def _cmd_check(args) -> int:
     if args.target == "all":
         picked = registry()
     else:
-        row = _find_entry(int(args.target) if args.target.isdecimal() else args.target)
+        row = _find_entry(args.target)
         picked = [(row.index, row.name)]
     all_ok = True
     for idx, name in picked:
@@ -336,14 +344,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("reduce", help="apply a registry reduction to an instance file")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, help="a reduction name or a registry index")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", help="write target instance here instead of stdout")
     p.add_argument("--param", nargs="*", help="builder overrides, key=value")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("pullback", help="map a target solution back to the source")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, help="a reduction name or a registry index")
     p.add_argument("--inst", required=True, help="source instance file")
     p.add_argument("--sol", required=True, help="target solution file")
     p.add_argument("--out", help="write source solution here instead of stdout")

@@ -22,11 +22,13 @@ its pull-back over an (N, k) int array of target witness tuples of one tag.
 It returns groups ``(source tag, source rows, index)``: ``source rows`` is an
 int array of source witness tuples and ``index`` the target row each came
 from.  A target row for which ``translate`` raises is in no group.  The
-shrink-chain entries 2, 5, 14 and 17, the identity entries 18 and 19 and the
-ws band entries 21 and 27 give one; the fuzz harness checks such an entry's
-rows in batches.  Entry 20 and the other set, tree and graph entries give
-none and are checked through the per-solution ``pullback``.  ``translate``
-stays the reference, and the CLI's ``pullback`` uses it.
+shrink-chain entries 2, 5, 14 and 17, the set, tree and graph entries 1, 6,
+9, 10, 13, 22, 23 and 26, the identity entries 18 and 19 and the ws band
+entries 21 and 27 give one; the fuzz harness checks such an entry's rows in
+batches.  Entry 20 and the set, tree and graph entries 3, 4, 7, 8, 11, 12,
+15, 16, 24 and 25 give none and are checked through the per-solution
+``pullback``.  ``translate`` stays the reference, and the CLI's ``pullback``
+uses it.
 
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
@@ -44,6 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .catalog import _popcount, _tree_mask
 from .circuit import (
     Builtin,
     Case,
@@ -388,6 +391,21 @@ def _below_identity(thr: int, zero, pair):
     return translate
 
 
+def _pair_pullback(pair, pairs_many) -> dict:
+    """The ``Reduction`` fields ``translate`` and ``translate_many`` of a
+    pull-back that reads one target pair (x, y) through the source circuit:
+    ``pair(circuit, x, y)`` and its array form ``pairs_many(circuit, rows)``
+    (entries 1, 6, 9, 10 and 13)."""
+
+    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
+        return pair(inst.circuit, sol.get("x"), sol.get("y"))
+
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        return pairs_many(inst.circuit, rows)
+
+    return {"translate": translate, "translate_many": translate_many}
+
+
 def _lone_set(src: ProblemId, n: int, c: Circuit, x: BitString) -> Solution:
     """A single set witness: tag i when its image is not an n-set, else iv."""
     return make_solution(src, "i" if c.eval(x).weight != n else "iv", x)
@@ -408,6 +426,20 @@ def _set_pair(src: ProblemId, n: int, same_class, c: Circuit,
     if sy.weight != n:
         return make_solution(src, "i", y)
     return make_solution(src, "ii" if same_class(sx, sy) else "iii", x, y)
+
+
+def _set_pairs_many(n: int, same_class, c: Circuit, rows: np.ndarray) -> list:
+    """Array form of ``_set_pair`` over rows (x, y); ``same_class`` compares
+    two arrays of set images elementwise."""
+    s = values_at(c, rows)
+    weight = _popcount(s)
+    x, y = rows.T
+    g = _Branches(len(rows))
+    g.take(weight[:, 0] != n, "i", x)
+    g.take(weight[:, 1] != n, "i", y)
+    g.take(same_class(s[:, 0], s[:, 1]), "ii", x, y)
+    g.take(True, "iii", x, y)
+    return g.groups
 
 
 def _dispatch_by_first_bit(c_sets: Circuit, m: int) -> Circuit:
@@ -439,7 +471,7 @@ def _doubled_domain(c: Circuit, n: int, w: int) -> Circuit:
     ))
 
 
-def _doubled_pair(src: ProblemId, n: int, c: Circuit, w: int,
+def _doubled_pair(src: ProblemId, n: int, w: int, c: Circuit,
                   x: BitString, y: BitString) -> Solution:
     """An antichain violation on the doubled domain (entries 9 and 11).
 
@@ -459,6 +491,21 @@ def _doubled_pair(src: ProblemId, n: int, c: Circuit, w: int,
     return make_solution(src, "ii" if bu == bv else "iii", u, v)
 
 
+def _doubled_pairs_many(n: int, c: Circuit, rows: np.ndarray) -> list:
+    """Array form of ``_doubled_pair`` over rows (x, y) of (w + 1)-bit
+    witnesses: u = x >> 1 and the flag is x & 1."""
+    u, flag = rows >> 1, rows & 1
+    weight = _popcount(values_at(c, u))
+    (ux, uy), (bx, by) = u.T, flag.T
+    g = _Branches(len(rows))
+    g.take((bx == 0) & (by == 1), "iii", ux, uy)
+    g.take(weight[:, 0] != n, "i", ux)
+    g.take(weight[:, 1] != n, "i", uy)
+    g.take(bx == by, "ii", ux, uy)
+    g.take(True, "iii", ux, uy)
+    return g.groups
+
+
 def _chain_pair(src: ProblemId, factor, c: Circuit, x: BitString, y: BitString) -> Solution:
     """A collision of chain-representative ranks (entries 10 and 12): both
     images factor to one matched form, so the lower level is contained in
@@ -470,6 +517,26 @@ def _chain_pair(src: ProblemId, factor, c: Circuit, x: BitString, y: BitString) 
     if kx <= ky:
         return make_solution(src, "i", x, y)
     return make_solution(src, "i", y, x)
+
+
+def _chain_pairs_many(c: Circuit, rows: np.ndarray) -> list:
+    """Array form of ``_chain_pair`` with ``catalan_factorize`` (entry 10)
+    over rows (x, y): the factorization runs once per distinct image, and a
+    row whose two images factor to different matched forms is in no group."""
+    s = values_at(c, rows)
+    values, inverse = np.unique(s.ravel(), return_inverse=True)
+    forms: dict[str, int] = {}
+    form_of, level_of = np.empty((2, len(values)), dtype=np.int64)
+    for i, v in enumerate(values.tolist()):
+        form, level = catalan_factorize(BitString(c.out_width, v))
+        form_of[i], level_of[i] = forms.setdefault(form, len(forms)), level
+    f, k = (a[inverse].reshape(s.shape) for a in (form_of, level_of))
+    x, y = rows.T
+    g = _Branches(len(rows))
+    g.drop(f[:, 0] != f[:, 1])
+    g.take(k[:, 0] <= k[:, 1], "i", x, y)
+    g.take(True, "i", y, x)
+    return g.groups
 
 
 def _tree_pair(src: ProblemId, n: int, c: Circuit, x: BitString, y: BitString) -> Solution:
@@ -486,6 +553,20 @@ def _tree_pair(src: ProblemId, n: int, c: Circuit, x: BitString, y: BitString) -
     return make_solution(src, "ii", x, y)
 
 
+def _tree_pairs_many(n: int, c: Circuit, rows: np.ndarray) -> list:
+    """Array form of ``_tree_pair`` over rows (x, y): two distinct trees with
+    one rank are in no group."""
+    s = values_at(c, rows)
+    tree = _tree_mask(n, s.ravel()).reshape(s.shape)
+    x, y = rows.T
+    g = _Branches(len(rows))
+    g.take(~tree[:, 0], "i", x)
+    g.take(~tree[:, 1], "i", y)
+    g.drop(s[:, 0] != s[:, 1])
+    g.take(True, "ii", x, y)
+    return g.groups
+
+
 # ---------------------------------------------------------------------------
 # entries 1-4: intersecting-family collisions vs pigeonhole
 
@@ -500,13 +581,14 @@ def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
         cp = _dispatch_by_first_bit(inst.circuit, 2 * n)
         return ProblemInstance(tgt, alpha - 1, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return _set_pair(src, n, _same_first, inst.circuit, sol.get("x"), sol.get("y"))
+    def same_first(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return (s >> (2 * n - 1)) == (t >> (2 * n - 1))
 
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=alpha - 1, params={"n": n, "alpha": alpha},
-        transform=transform, translate=translate,
+        transform=transform, **_pair_pullback(partial(_set_pair, src, n, _same_first),
+                                              partial(_set_pairs_many, n, same_first)),
         note="rank sets through the cover codec, folding complements onto the same rank",
     )
 
@@ -631,13 +713,11 @@ def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
         cp = Compose(Builtin("baranyai_class", k=k, n=n), inst.circuit)
         return ProblemInstance(tgt, gamma, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return _set_pair(src, n, operator.eq, inst.circuit, sol.get("x"), sol.get("y"))
-
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=gamma, params={"n": n, "k": k},
-        transform=transform, translate=translate,
+        transform=transform, **_pair_pullback(partial(_set_pair, src, n, operator.eq),
+                                              partial(_set_pairs_many, n, operator.eq)),
         note="classify sets by their partition class; distinct blocks of one class are disjoint",
     )
 
@@ -709,13 +789,11 @@ def _build_weak_ekr_to_weak_sperner(n: int = 2) -> Reduction:
     def transform(inst: ProblemInstance) -> ProblemInstance:
         return ProblemInstance(tgt, n, _doubled_domain(inst.circuit, n, alpha))
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return _doubled_pair(src, n, inst.circuit, alpha, sol.get("x"), sol.get("y"))
-
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=n, params={"n": n},
-        transform=transform, translate=translate,
+        transform=transform, **_pair_pullback(partial(_doubled_pair, src, n, alpha),
+                                              partial(_doubled_pairs_many, n)),
         note="double the domain; the flag bit selects the complemented copy",
     )
 
@@ -731,13 +809,11 @@ def _build_weak_sperner_to_weak_pigeon(n: int = 2) -> Reduction:
         cp = Compose(_cover_encode(n, 2 * n), Compose(rep, inst.circuit))
         return ProblemInstance(tgt, alpha, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return _chain_pair(src, catalan_factorize, inst.circuit, sol.get("x"), sol.get("y"))
-
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=alpha, params={"n": n},
-        transform=transform, translate=translate,
+        transform=transform, **_pair_pullback(partial(_chain_pair, src, catalan_factorize),
+                                              _chain_pairs_many),
         note="rank the symmetric-chain representative; same chain yields containment",
     )
 
@@ -759,7 +835,7 @@ def _build_ekr_to_sperner(n: int = 2) -> Reduction:
             if u.value >= thr:
                 raise IntegrityError("witness outside the doubled domain")
             return _lone_set(src, n, inst.circuit, u)
-        return _doubled_pair(src, n, inst.circuit, rank_w, x, sol.get("y"))
+        return _doubled_pair(src, n, rank_w, inst.circuit, x, sol.get("y"))
 
     return Reduction(
         source=src, target=tgt,
@@ -811,13 +887,11 @@ def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
         cp = Compose(Builtin("prufer_encode", n=n), inst.circuit)
         return ProblemInstance(tgt, beta, cp)
 
-    def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        return _tree_pair(src, n, inst.circuit, sol.get("x"), sol.get("y"))
-
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=beta, params={"n": n},
-        transform=transform, translate=translate,
+        transform=transform, **_pair_pullback(partial(_tree_pair, src, n),
+                                              partial(_tree_pairs_many, n)),
         note="rank edge maps through the tree codec; non-trees clamp to rank zero",
     )
 
@@ -1318,10 +1392,17 @@ def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
             raise IntegrityError("collision shape mismatch")
         return make_solution(src, "ii", yi, yj)
 
+    def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+        if tag != "iii":
+            return []
+        y, z = rows >> m, rows & ((1 << m) - 1)
+        kept = np.flatnonzero((z[:, 0] == z[:, 1]) & (y[:, 0] != y[:, 1]))
+        return [("ii", y[kept], kept)]
+
     return Reduction(
         source=src, target=tgt,
         source_n=m, target_n=n, params={"m": m},
-        transform=transform, translate=translate,
+        transform=transform, translate=translate, translate_many=translate_many,
         note="bipartite edge listing; only index collisions are possible and they compress",
     )
 
@@ -1362,6 +1443,24 @@ def _edge_translate(inst: ProblemInstance, sol: Solution) -> Solution:
     return make_solution(src, "iii", x, y)
 
 
+def _edge_translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
+    """Array form of ``_edge_translate``: a zero from an increasing pair and
+    a collision of distinct increasing pairs are in no group."""
+    h = inst.circuit.out_width // 2
+    s = values_at(inst.circuit, rows)
+    down = (s >> h) >= (s & ((1 << h) - 1))
+    g = _Branches(len(rows))
+    if tag == "i":
+        g.take(down[:, 0], "ii", rows[:, 0])
+        return g.groups
+    x, y = rows.T
+    g.take(down[:, 0], "ii", x)
+    g.take(down[:, 1], "ii", y)
+    g.drop(s[:, 0] != s[:, 1])
+    g.take(True, "iii", x, y)
+    return g.groups
+
+
 @entry(23)
 def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
     src = ProblemId("weak_mantel")
@@ -1375,7 +1474,7 @@ def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n},
-        transform=transform, translate=_edge_translate,
+        transform=transform, translate=_edge_translate, translate_many=_edge_translate_many,
         note="rank increasing endpoint pairs; decreasing pairs collapse to the low band",
     )
 
@@ -1491,7 +1590,7 @@ def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
     return Reduction(
         source=src, target=tgt,
         source_n=n, target_n=w, params={"n": n, "r": r},
-        transform=transform, translate=_edge_translate,
+        transform=transform, translate=_edge_translate, translate_many=_edge_translate_many,
         note="same edge ranking as the triangle case; only the source clauses differ",
     )
 

@@ -30,8 +30,9 @@ from tfnpkit.solvers import (
     solution_rows,
 )
 
-BATCH_ENTRIES = (2, 5, 14, 17, 18, 19, 21, 27)
+BATCH_ENTRIES = (1, 2, 5, 6, 9, 10, 13, 14, 17, 18, 19, 21, 22, 23, 26, 27)
 SHRUNK_ENTRIES = (2, 5, 14)
+NEVER_RAISES = (1, 6, 9, 18, 19)  # set pairs, doubled pairs and the identity
 TUPLE_SPACE_CAP = 1 << 16
 
 
@@ -140,6 +141,18 @@ def _scalar(red, inst, tgt, tag: str, row: list):
     return back.tag, tuple(v.value for v in back.values())
 
 
+def _by_row(red, inst, tag: str, rows: np.ndarray) -> dict:
+    """The batch pull-back of rows as {target row: (source tag, witness ints)};
+    a row in two groups fails."""
+    got: dict[int, tuple] = {}
+    for src_tag, src_rows, at in red.translate_many(inst, tag, rows):
+        assert src_rows.shape == (len(at), len(inst.pid.spec.clauses[src_tag].names(inst.pid)))
+        for t, values in zip(at.tolist(), src_rows.tolist()):
+            assert t not in got, (tag, rows[t])
+            got[t] = (src_tag, tuple(values))
+    return got
+
+
 @pytest.mark.parametrize("idx", BATCH_ENTRIES)
 def test_translate_many_matches_translate(idx):
     """Every target row of the designed cases and seeds 0-2, plus rows the
@@ -152,18 +165,13 @@ def test_translate_many_matches_translate(idx):
         scanned, _ = solution_rows(tgt, SolveBudget(max_per_type=2000))
         for tag, rows in scanned.items():
             rows = _probe_rows(inst, tgt, tag, rows)
-            got: dict[int, tuple] = {}
-            for src_tag, src_rows, at in red.translate_many(inst, tag, rows):
-                assert src_rows.shape == (len(at), len(inst.pid.spec.clauses[src_tag].names(inst.pid)))
-                for t, values in zip(at.tolist(), src_rows.tolist()):
-                    assert t not in got, (tag, rows[t])
-                    got[t] = (src_tag, tuple(values))
+            got = _by_row(red, inst, tag, rows)
             for t, row in enumerate(rows.tolist()):
                 assert got.get(t) == _scalar(red, inst, tgt, tag, row), (tag, row)
             compared += len(rows)
             covered += len(got)
     assert covered
-    if idx not in (18, 19):  # the identity pull-back never raises
+    if idx not in NEVER_RAISES:
         assert compared > covered
 
 
@@ -189,6 +197,66 @@ def test_shrunk_pullback_groups_exactly_the_target_collisions(idx):
                 rows = rows[~genuine]
             assert sum(len(at) for _, _, at in red.translate_many(inst, tag, rows)) == 0, tag
             assert all(_scalar(red, inst, tgt, tag, row) is None for row in rows.tolist()), tag
+
+
+EKR_IMAGES = [0b0011, 0b0101, 0b1100, 0b0111]    # first bit 0, 0, 1; not a 2-set
+GEKR_IMAGES = [0b000011, 0b000011, 0b000101, 0b000111]
+CHAIN_IMAGES = [0b1000, 0b1011, 0b1100, 0b0000, 0b1000]  # forms 10zz 10zz 1100 zzzz 10zz; levels 0 2 0 0 0
+TREE_IMAGES = [0b011, 0b011, 0b101, 0b111]        # trees on 3 vertices, then a triangle
+EDGE_IMAGES = [0b0001, 0b0001, 0b0110, 0b1001, 0b0101]  # (0,1) (0,1) (1,2) (2,1) (1,1)
+I, II, III = "i", "ii", "iii"
+
+# entry, source images (the first repeats to fill the table), target tag,
+# target rows, and each row's source solution or None where translate raises
+PLANTED = [
+    # _set_pair: the first image, then the second is not an n-set; one
+    # class, then two classes, each both ways round
+    (1, EKR_IMAGES, II, [(3, 0), (0, 3), (0, 1), (1, 0), (0, 2), (2, 1)],
+     [(I, (3,)), (I, (3,)), (II, (0, 1)), (II, (1, 0)), (III, (0, 2)), (III, (2, 1))]),
+    (6, GEKR_IMAGES, II, [(3, 0), (0, 3), (0, 1), (1, 0), (0, 2), (2, 1)],
+     [(I, (3,)), (I, (3,)), (II, (0, 1)), (II, (1, 0)), (III, (0, 2)), (III, (2, 1))]),
+    # _doubled_pair on x = 2u + flag: the (0, 1) flag pair before the n-set
+    # test, then either image not an n-set, flags (0, 0) and (1, 1), flags (1, 0)
+    (9, EKR_IMAGES, I, [(0, 7), (7, 0), (1, 6), (0, 2), (1, 3), (1, 2)],
+     [(III, (0, 3)), (I, (3,)), (I, (3,)), (II, (0, 1)), (II, (0, 1)), (III, (0, 1))]),
+    # _chain_pair: levels in order, swapped, equal both ways, and a cross-form collision
+    (10, CHAIN_IMAGES, II, [(0, 1), (1, 0), (0, 4), (4, 0), (0, 2), (3, 2)],
+     [(I, (0, 1)), (I, (0, 1)), (I, (0, 4)), (I, (4, 0)), None, None]),
+    # _tree_pair: either image not a tree, one tree twice, two trees with one rank
+    (13, TREE_IMAGES, II, [(3, 0), (0, 3), (0, 1), (0, 2)],
+     [(I, (3,)), (I, (3,)), (II, (0, 1)), None]),
+    # entry 22 on i = y || z (3 + 2 bits): a collision, z differs, y equal
+    (22, [0], III, [(0b00110, 0b01010), (0b00110, 0b10111), (0b00110, 0b00110)],
+     [(II, (1, 2)), None, None]),
+    (22, [0], II, [(0b00110,)], [None]),
+    (22, [0], I, [(0, 1, 2)], [None]),
+    # _edge_translate: a zero from an increasing pair, from decreasing and equal ends
+    (23, EDGE_IMAGES, I, [(0,), (3,), (4,)], [None, (II, (3,)), (II, (4,))]),
+    (26, EDGE_IMAGES, I, [(0,), (3,), (4,)], [None, (II, (3,)), (II, (4,))]),
+    # either pair not increasing, one increasing pair twice, distinct increasing pairs
+    (23, EDGE_IMAGES, II, [(3, 0), (0, 3), (0, 1), (0, 2)],
+     [(II, (3,)), (II, (3,)), (III, (0, 1)), None]),
+    (26, EDGE_IMAGES, II, [(3, 0), (0, 3), (0, 1), (0, 2)],
+     [(II, (3,)), (II, (3,)), (III, (0, 1)), None]),
+]
+
+
+@pytest.mark.parametrize("idx,images,tag,rows,want", PLANTED,
+                         ids=[f"{p[0]}-{p[2]}-{i}" for i, p in enumerate(PLANTED)])
+def test_translate_many_on_planted_rows(idx, images, tag, rows, want):
+    """Planted source tables and target rows that reach every branch of the
+    array pull-backs, including the ones seeds 0-2 may miss: the batch and
+    the scalar translate both give the expected source solution, and a row
+    the scalar translate raises on is in no group."""
+    red = build_entry(idx)
+    in_w, out_w = circuit_shape(red.source, red.source_n)
+    table = images + [images[0]] * ((1 << in_w) - len(images))
+    inst = ProblemInstance(red.source, red.source_n, Table(in_w, out_w, table))
+    tgt = apply(red, inst)
+    rows = np.array(rows, dtype=np.int64)
+    got = _by_row(red, inst, tag, rows)
+    assert [got.get(t) for t in range(len(rows))] == want
+    assert [_scalar(red, inst, tgt, tag, row) for row in rows.tolist()] == want
 
 
 def _without_batch(monkeypatch):

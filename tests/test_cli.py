@@ -204,6 +204,32 @@ def test_reduce_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("index,name,source", [
+    ("1", "weak_ekr_to_weak_pigeon", ("weak_ekr", "2", "3")),
+    ("22", "weak_pigeon_to_weak_mantel", ("weak_pigeon", "2", "4")),
+])
+def test_reduce_and_pullback_accept_the_registry_index(capsys, tmp_path, index, name, source):
+    """`--name INDEX` writes the same target and pull-back files as
+    `--name NAME`."""
+    src = tmp_path / "src.txt"
+    run(capsys, "gen", *source, "--out", str(src))
+    files = {}
+    for key in (index, name):
+        tgt, tsol, ssol = (tmp_path / f"{part}-{key}.txt" for part in ("tgt", "tsol", "ssol"))
+        assert run(capsys, "reduce", "--name", key, "--in", str(src), "--out", str(tgt))[0] == 0
+        assert run(capsys, "solve", "--inst", str(tgt), "--out", str(tsol))[0] == 0
+        assert run(capsys, "pullback", "--name", key, "--inst", str(src), "--sol", str(tsol),
+                   "--out", str(ssol))[0] == 0
+        files[key] = (tgt.read_bytes(), ssol.read_bytes())
+    assert files[index] == files[name]
+    for index in ("0", "28"):
+        code, out, err = run(capsys, "reduce", "--name", index, "--in", str(src))
+        assert code == 2 and f"unknown reduction {index}" in err and not out
+        code, out, err = run(capsys, "pullback", "--name", index, "--inst", str(src),
+                             "--sol", str(tmp_path / f"tsol-{name}.txt"))
+        assert code == 2 and f"unknown reduction {index}" in err and not out
+
+
 def test_pullback_rejects_invalid_target_solution(capsys, tmp_path):
     src = tmp_path / "src.txt"
     bogus = tmp_path / "bogus.txt"
