@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .circuit import values_at
-from .encodings import is_spanning_tree
+from .encodings import is_spanning_tree, prufer_width
 from .errors import CapabilityError
 from .numerics import BitString, binomial, ceil_log2
 
@@ -727,7 +727,7 @@ def _subsets(rng: Optional[Range]) -> Pair:
 
 
 def _cayley_shape(n: int, k: Optional[int]) -> tuple[int, int]:
-    return ceil_log2(n ** (n - 2)), binomial(n, 2)
+    return prufer_width(n), binomial(n, 2)
 
 
 def _cayley_clauses(rng: Optional[Range], first: Optional[Range]) -> dict[str, Clause]:

@@ -13,7 +13,7 @@ makes exhaustive solving affordable; it only evaluates piecewise branches on
 the inputs they are selected for, so partial decoders stay safe inside
 guarded constructions.  ``eval_all`` runs it over every input value, in
 blocks of 2**16 consecutive inputs, and caches the result on the circuit as
-one read-only int64 array (32 MB at in_width 22).  ``Circuit.eval`` and
+one read-only int64 array (32 MB at its cap ``MAX_EVAL_WIDTH``).  ``Circuit.eval`` and
 ``Circuit.value_at`` map one input to one output: they index that table when
 the circuit has one, and otherwise run the scalar interpreter
 ``_eval_value``, memoized per circuit.  Their array form ``values_at``
@@ -50,6 +50,7 @@ from .errors import CapabilityError, DomainError, ParseError
 from .numerics import BitString, bits_of
 
 MAX_TABLE_WIDTH = 20
+MAX_EVAL_WIDTH = 22
 MAX_VECTOR_WIDTH = 62  # apply_many packs values into int64
 # eval_all inputs per apply_many call: 2**16 keeps a GateNet bit-plane at
 # 64 KB and an int64 intermediate at 512 KB, about the size of an L2 cache
@@ -58,7 +59,7 @@ _EVAL_BLOCK = 1 << 16
 # Deepest nesting a circuit may have, counted in nodes from the root to the
 # deepest leaf, as the text form nests them.  The combinators refuse to build
 # deeper circuits and the parser refuses to read them.  The deepest circuit
-# that a registry entry builds within solvers.WIDTH_CAP has 18 levels (entry
+# that a registry entry builds within MAX_EVAL_WIDTH has 18 levels (entry
 # 17 at m=5, a 15-stage shrink chain inside a piecewise); the cap leaves room
 # for chained reductions and keeps the recursive parser and evaluators far
 # from Python's recursion limit.
@@ -153,8 +154,8 @@ def eval_all(c: Circuit) -> np.ndarray:
     point evaluations index it.
     """
     if c._table is None:
-        if c.in_width > 22:
-            raise DomainError(f"eval_all capped at in_width 22, got {c.in_width}")
+        if c.in_width > MAX_EVAL_WIDTH:
+            raise CapabilityError(f"eval_all capped at in_width {MAX_EVAL_WIDTH}, got {c.in_width}")
         size = 1 << c.in_width
         table = np.empty(size, dtype=np.int64)
         for lo in range(0, size, _EVAL_BLOCK):
@@ -179,7 +180,7 @@ class Table(Circuit):
 
     def __init__(self, in_width: int, out_width: int, rows: Sequence[int] | np.ndarray):
         if in_width > MAX_TABLE_WIDTH:
-            raise DomainError(f"table in_width {in_width} beyond cap {MAX_TABLE_WIDTH}")
+            raise CapabilityError(f"table in_width {in_width} beyond cap {MAX_TABLE_WIDTH}")
         if out_width <= MAX_VECTOR_WIDTH:
             try:
                 rows = np.array(rows, dtype=np.int64)

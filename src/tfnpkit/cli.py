@@ -75,6 +75,13 @@ def _split_params(tokens: list[str]) -> tuple[dict[str, str], list[str]]:
     return params, rest
 
 
+def _check_keys(params: dict[str, str], allowed, what: str) -> None:
+    """Reject a key=value token whose key is not one that ``what`` takes."""
+    for key in params:
+        if key not in allowed:
+            raise ParseError(f"{what} takes no parameter {key!r} (has {sorted(allowed)})")
+
+
 def _int_param(params: dict[str, str], key: str, op: str) -> int:
     if key not in params:
         raise ParseError(f"{op} needs {key}=<int>")
@@ -102,59 +109,45 @@ def _emit(text: str, out: str | None) -> None:
 # codec
 
 
+def _lexpair_encode(n: int, token: str) -> BitString:
+    uv = _bits(token)
+    if uv.width != 2 * n:
+        raise ParseError("codec encode lexpair: input must be the 2n-bit pair u||v")
+    return lexpair_encode(n, uv[0:n], uv[n:2 * n])
+
+
+def _chain_decode(token: str):
+    raise ParseError("chain is a projection onto representatives; it has no decode")
+
+
+# (codec, mode) -> (the integer parameters it takes, its function of their
+# values and the input token x, whose result the command prints)
+_CODECS = {
+    ("cover", "encode"): (("k", "m"), lambda k, m, x: cover_encode(k, m, _bits(x))),
+    ("cover", "decode"): (("k", "m"), lambda k, m, x: cover_decode(k, m, _bits(x))),
+    ("lexpair", "encode"): (("n",), _lexpair_encode),
+    ("lexpair", "decode"): (("n",), lambda n, x: BitString.concat(*lexpair_decode(n, _bits(x)))),
+    ("prufer", "encode"): (("n",), lambda n, x: prufer_encode_rank(n, _bits(x))),
+    ("prufer", "decode"): (("n",), lambda n, x: prufer_decode_rank(n, _bits(x))),
+    ("catalan", "encode"): ((), lambda x: "{} {}".format(*catalan_factorize(_bits(x)))),
+    ("catalan", "decode"): (("l",), lambda level, x: catalan_expand(x, level)),
+    ("chain", "encode"): ((), lambda x: chain_representative(_bits(x))),
+    ("chain", "decode"): ((), _chain_decode),
+}
+
+
 def _cmd_codec(args) -> int:
     op = f"codec {args.mode} {args.codec}"
     params, rest = _split_params(args.args)
     if len(rest) != 1:
         raise ParseError(f"{op} takes exactly one input token, got {rest}")
-    token = rest[0]
-
-    if args.codec == "cover":
-        k = _int_param(params, "k", op)
-        m = _int_param(params, "m", op)
-        if args.mode == "encode":
-            out = cover_encode(k, m, _bits(token))
-        else:
-            out = cover_decode(k, m, _bits(token))
-        print(out)
-        return 0
-
-    if args.codec == "lexpair":
-        n = _int_param(params, "n", op)
-        if args.mode == "encode":
-            uv = _bits(token)
-            if uv.width != 2 * n:
-                raise ParseError(f"{op}: input must be the 2n-bit pair u||v")
-            print(lexpair_encode(n, uv[0:n], uv[n:2 * n]))
-        else:
-            u, v = lexpair_decode(n, _bits(token))
-            print(u.concat(v))
-        return 0
-
-    if args.codec == "prufer":
-        n = _int_param(params, "n", op)
-        if args.mode == "encode":
-            print(prufer_encode_rank(n, _bits(token)))
-        else:
-            print(prufer_decode_rank(n, _bits(token)))
-        return 0
-
-    if args.codec == "catalan":
-        if args.mode == "encode":
-            form, level = catalan_factorize(_bits(token))
-            print(f"{form} {level}")
-        else:
-            level = _int_param(params, "l", op)
-            print(catalan_expand(token, level))
-        return 0
-
-    if args.codec == "chain":
-        if args.mode != "encode":
-            raise ParseError("chain is a projection onto representatives; it has no decode")
-        print(chain_representative(_bits(token)))
-        return 0
-
-    raise ParseError(f"unknown codec {args.codec!r}; pick cover, lexpair, prufer, catalan, chain")
+    if (args.codec, args.mode) not in _CODECS:
+        names = ", ".join(dict.fromkeys(codec for codec, _ in _CODECS))
+        raise ParseError(f"unknown codec {args.codec!r}; pick {names}")
+    keys, fn = _CODECS[args.codec, args.mode]
+    _check_keys(params, keys, op)
+    print(fn(*(_int_param(params, key, op) for key in keys), rest[0]))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +160,7 @@ def _problem_id(name: str, params: dict[str, str]) -> ProblemId:
     spec = SPECS.get(name)
     if spec is None:
         return ProblemId(name)  # raises DomainError naming the unknown problem
-    for key in params:
-        if key not in spec.params:
-            raise ParseError(f"{name} takes no parameter {key!r} (has {sorted(spec.params)})")
+    _check_keys(params, spec.params, name)
     return ProblemId(name, **{key: _int_param(params, key, name) for key in spec.params})
 
 
@@ -232,24 +223,24 @@ def _entry_params(row: Entry, inst, overrides: dict[str, str]) -> dict:
             params[key] = inst.pid.k
         elif key in ("r", "r1") and inst.pid.r is not None:
             params[key] = inst.pid.r
+    _check_keys(overrides, params, row.name)
     for key in overrides:
-        if key not in params:
-            raise ParseError(f"{row.name} takes no parameter {key!r} (has {sorted(params)})")
         params[key] = _int_param(overrides, key, row.name)
     return params
 
 
-def _build(key: str, inst, overrides: dict[str, str]) -> Reduction:
-    row = _find_entry(key)
+def _build(args, inst) -> Reduction:
+    """The reduction that --name and --param pick for this source instance."""
+    overrides, rest = _split_params(args.param or [])
+    if rest:
+        raise ParseError(f"--param takes key=value tokens, got {rest}")
+    row = _find_entry(args.name)
     return build_entry(row.index, **_entry_params(row, inst, overrides))
 
 
 def _cmd_reduce(args) -> int:
     inst = instance_from_text(_read(args.infile))
-    overrides, rest = _split_params(args.param or [])
-    if rest:
-        raise ParseError(f"--param takes key=value tokens, got {rest}")
-    red = _build(args.name, inst, overrides)
+    red = _build(args, inst)
     tgt = apply_reduction(red, inst)
     _emit(instance_to_text(tgt), args.out)
     return 0
@@ -258,10 +249,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_pullback(args) -> int:
     inst = instance_from_text(_read(args.inst))
     sol = solution_from_text(_read(args.sol))
-    overrides, rest = _split_params(args.param or [])
-    if rest:
-        raise ParseError(f"--param takes key=value tokens, got {rest}")
-    red = _build(args.name, inst, overrides)
+    red = _build(args, inst)
     back = pullback_reduction(red, inst, sol)
     _emit(solution_to_text(back), args.out)
     return 0

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import circuit as ckt
 from .errors import CapabilityError, DomainError, IntegrityError, OutOfRangeError
-from .numerics import BitString, binomial, bits_of, ceil_log2
+from .numerics import MAX_COUNT_ARG, BitString, binomial, bits_of, ceil_log2
 
 # ---------------------------------------------------------------------------
 # fixed-weight subsets <-> lexicographic ranks
@@ -167,10 +167,12 @@ def edge_count(n: int) -> int:
 def prufer_width(n: int) -> int:
     if n < 2:
         raise DomainError("trees need at least 2 vertices")
-    return ceil_log2(n ** (n - 2))
+    return ceil_log2(tree_count(n))
 
 
 def tree_count(n: int) -> int:
+    if n > MAX_COUNT_ARG:
+        raise CapabilityError(f"tree count {n}^{n - 2} is past the counting cap {MAX_COUNT_ARG}")
     return n ** (n - 2)
 
 

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
+
+# Largest m of binomial(m, k), and n of the tree count n^(n-2), that the exact
+# counts accept: far above every registry size, and low enough that a count
+# takes microseconds and prints within Python's int-to-str digit limit.
+MAX_COUNT_ARG = 1024
 
 
 @dataclass(frozen=True, order=False)
@@ -111,13 +116,11 @@ def bits_of(value: int, width: int) -> BitString:
     return BitString(width, value)
 
 
-def concat(a: BitString, b: BitString) -> BitString:
-    return a.concat(b)
-
-
 def binomial(m: int, k: int) -> int:
     if m < 0 or k < 0 or k > m:
         raise DomainError(f"binomial({m}, {k}) undefined here")
+    if m > MAX_COUNT_ARG:
+        raise CapabilityError(f"binomial({m}, {k}) is past the counting cap {MAX_COUNT_ARG}")
     return comb(m, k)
 
 

@@ -29,7 +29,8 @@ from .catalog import (
     honest_turan_params,
     star_tree,
 )
-from .circuit import Circuit, Table, from_text as circuit_from_text, to_text as circuit_to_text
+from .circuit import (MAX_TABLE_WIDTH, Circuit, Table, from_text as circuit_from_text,
+                      to_text as circuit_to_text)
 from .encodings import is_spanning_tree
 from .errors import CapabilityError, DomainError, ParseError
 from .numerics import BitString
@@ -61,8 +62,6 @@ __all__ = [
     "wellformed",
     "witness_names",
 ]
-
-GEN_WIDTH_CAP = 20
 
 PROBLEM_NAMES = tuple(SPECS)
 
@@ -264,6 +263,8 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def random_table(rng: np.random.Generator, in_w: int, out_w: int) -> Table:
     """A uniform random truth table: 2**in_w rows drawn from rng as uint64."""
+    if in_w > MAX_TABLE_WIDTH:
+        raise CapabilityError(f"random tables have at most {MAX_TABLE_WIDTH} input bits, got {in_w}")
     if out_w > 64:
         raise CapabilityError(f"random tables have at most 64 output bits, this one needs {out_w}")
     return Table(in_w, out_w, rng.integers(0, 2 ** out_w, size=2 ** in_w, dtype=np.uint64))
@@ -272,8 +273,6 @@ def random_table(rng: np.random.Generator, in_w: int, out_w: int) -> Table:
 def gen_random_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
     """Deterministic random instance: a uniform truth table plus honest auxiliaries."""
     in_w, out_w = circuit_shape(pid, n)
-    if in_w > GEN_WIDTH_CAP:
-        raise CapabilityError(f"instance input width {in_w} exceeds generation cap {GEN_WIDTH_CAP}")
     rng = seeded_rng(seed)
     table = random_table(rng, in_w, out_w)
     return ProblemInstance(pid, n, table, *random_aux(pid, n, rng))

@@ -8,8 +8,9 @@ returning it, so a defect in either direction surfaces as a loud integrity
 failure, prefixed with the entry's name, instead of a silently wrong answer.
 
 The registry is the ordered table ``ENTRIES``.  To add an entry, write one
-builder ``_build_<name>(<size parameters with defaults>) -> Reduction`` after
-the builder of the previous index and declare it with ``@entry(index)``.  The
+builder ``_build_<name>(<size parameters with defaults>) -> Reduction``, whose
+docstring states the construction, after the builder of the previous index and
+declare it with ``@entry(index)``.  The
 declaration is the only place that holds the entry's index, its name (the
 builder's name without ``_build_``), its default parameters (the builder's
 signature) and, as ``forbidden=``, the target solution tags its image provably
@@ -32,21 +33,21 @@ uses it.
 
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
-by a linear scan from the smallest legal size; the chosen size and thresholds
-are recorded on the returned ``Reduction``.
+by ``_smallest_size``, one linear scan from the smallest legal size up to
+``_MAX_SIZE_SCAN``.
 """
 
 from __future__ import annotations
 
 import inspect
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .catalog import _popcount, _tree_mask
+from .catalog import _color, _popcount, _tree_mask
 from .circuit import (
     Builtin,
     Case,
@@ -76,7 +77,7 @@ from .circuit import (
     swap_halves,
     values_at,
 )
-from .encodings import catalan_factorize, is_spanning_tree
+from .encodings import catalan_factorize, is_spanning_tree, prufer_width, tree_count
 from .errors import CapabilityError, DomainError, IntegrityError
 from .numerics import BitString, binomial, ceil_log2
 from .problems import (
@@ -116,10 +117,8 @@ class Reduction:
     target: ProblemId
     source_n: int
     target_n: int
-    params: dict = field(default_factory=dict)
-    transform: Callable[[ProblemInstance], ProblemInstance] = None
-    translate: Callable[[ProblemInstance, Solution], Solution] = None
-    note: str = ""
+    transform: Callable[[ProblemInstance], ProblemInstance]
+    translate: Callable[[ProblemInstance, Solution], Solution]
     translate_many: Optional[Callable[[ProblemInstance, str, np.ndarray], list]] = None
     name: str = ""
     index: int = 0
@@ -223,14 +222,6 @@ def pullback(red: Reduction, inst: ProblemInstance, sol: Solution,
 # shared pieces
 
 
-def _cover_encode(n: int, m: int) -> Circuit:
-    return Builtin("cover_encode", k=n, m=m)
-
-
-def _cover_decode(n: int, m: int) -> Circuit:
-    return Builtin("cover_decode", k=n, m=m)
-
-
 def _narrow(x: BitString, m: int) -> BitString:
     if x.value >= (1 << m):
         raise IntegrityError(f"witness {x} lies outside the embedded {m}-bit range")
@@ -261,6 +252,15 @@ def _wire(w_in: int, pattern: list) -> Circuit:
                 const_at[item] = len(gates) - 1
             outs.append(const_at[item])
     return GateNet(w_in, tuple(gates), tuple(outs))
+
+
+def _smallest_size(start: int, m: int, fits: Callable[[int], bool]) -> int:
+    """The smallest target size n from ``start`` up to _MAX_SIZE_SCAN for which
+    ``fits(n)`` holds, for a source of width m."""
+    for n in range(start, _MAX_SIZE_SCAN + 1):
+        if fits(n):
+            return n
+    raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
 
 
 def _chain_collision(pid: ProblemId, circuit: Circuit, w_in: int, w_out: int,
@@ -449,7 +449,7 @@ def _dispatch_by_first_bit(c_sets: Circuit, m: int) -> Circuit:
     Dropping the top rank bit is lossless: avoiding-first-element ranks fit
     in one bit less than the full rank width.
     """
-    enc = _cover_encode(m // 2, m)
+    enc = Builtin("cover_encode", k=m // 2, m=m)
     enc_w = enc.out_width
     rank_direct = Slice(Compose(enc, c_sets), 1, enc_w)
     rank_flipped = Slice(Compose(enc, Compose(not_all(m), c_sets)), 1, enc_w)
@@ -573,6 +573,7 @@ def _tree_pairs_many(n: int, c: Circuit, rows: np.ndarray) -> list:
 
 @entry(1)
 def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
+    """Rank sets through the cover codec, folding complements onto the same rank."""
     src = ProblemId("weak_ekr")
     tgt = ProblemId("weak_pigeon")
     alpha = ceil_log2(binomial(2 * n, n))
@@ -586,66 +587,57 @@ def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=alpha - 1, params={"n": n, "alpha": alpha},
+        source_n=n, target_n=alpha - 1,
         transform=transform, **_pair_pullback(partial(_set_pair, src, n, _same_first),
                                               partial(_set_pairs_many, n, same_first)),
-        note="rank sets through the cover codec, folding complements onto the same rank",
     )
 
 
 @entry(2, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
+    """Shrink the compressor two bits, then decode ranks into disjoint-free sets."""
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_ekr")
-    n = 2
-    while n <= _MAX_SIZE_SCAN and binomial(2 * n, n) < (1 << (m + 1)):
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
+    n = _smallest_size(2, m, lambda n: binomial(2 * n, n) >= 1 << (m + 1))
     alpha = ceil_log2(binomial(2 * n, n))
     if alpha < m + 2:
         raise CapabilityError("compression chain needs two spare rank bits")
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         shrunk = shrink_chain(inst.circuit, alpha, alpha - 2)
-        cp = Compose(_cover_decode(n, 2 * n), PadLeft(shrunk, 2))
+        cp = Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(shrunk, 2))
         return ProblemInstance(tgt, n, cp)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "n": n, "alpha": alpha},
+        source_n=m, target_n=n,
         transform=transform, **_shrunk_pullback(src, alpha, alpha - 2),
-        note="shrink the compressor two bits, then decode ranks into disjoint-free sets",
     )
 
 
 @entry(3, forbidden=("i", "iii"))
 def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
+    """Embed the map below the avoiding-first-element rank threshold."""
     src = ProblemId("pigeon")
     tgt = ProblemId("ekr")
-    n = 2
-    while n <= _MAX_SIZE_SCAN and binomial(2 * n - 1, n - 1) <= (1 << m):
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
-    thr = binomial(2 * n - 1, n - 1)
-    rank_w = ceil_log2(thr)
+    n = _smallest_size(2, m, lambda n: binomial(2 * n - 1, n - 1) > 1 << m)
+    rank_w = ceil_log2(binomial(2 * n - 1, n - 1))
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         guarded = GuardPrefix(embed(inst.circuit, rank_w), 1 << m)
-        cp = Compose(_cover_decode(n, 2 * n), PadLeft(guarded, 1))
+        cp = Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(guarded, 1))
         return ProblemInstance(tgt, n, cp)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "n": n, "threshold": thr},
+        source_n=m, target_n=n,
         transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
-        note="embed the map below the avoiding-first-element rank threshold",
     )
 
 
 @entry(4)
 def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
+    """Cover ranks with complement folding; identity off the rank range."""
     src = ProblemId("ekr")
     tgt = ProblemId("pigeon")
     thr = binomial(2 * n - 1, n - 1)
@@ -658,11 +650,10 @@ def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=rank_w, params={"n": n, "threshold": thr},
+        source_n=n, target_n=rank_w,
         transform=transform,
         translate=_below_identity(thr, partial(_lone_set, src, n),
                                   partial(_set_pair, src, n, _same_first)),
-        note="cover ranks with complement folding; identity off the rank range",
     )
 
 
@@ -672,18 +663,12 @@ def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
 
 @entry(5, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
+    """Shift shrunk ranks into the top band whose sets share the first element."""
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_gekr", k=k)
     a = ceil_log2(k)
-    n = 2
-    while n <= _MAX_SIZE_SCAN:
-        total = binomial(k * n, n)
-        alpha = ceil_log2(total)
-        if total >= (1 << (m + 1)) and alpha >= m + a + 1:
-            break
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
+    n = _smallest_size(2, m, lambda n: binomial(k * n, n) >= 1 << (m + 1)
+                       and ceil_log2(binomial(k * n, n)) >= m + a + 1)
     total = binomial(k * n, n)
     alpha = ceil_log2(total)
     gamma = ceil_log2(binomial(k * n - 1, n - 1))
@@ -692,19 +677,19 @@ def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
     def transform(inst: ProblemInstance) -> ProblemInstance:
         shrunk = shrink_chain(inst.circuit, gamma + 1, alpha - 1 - a)
         shifted = Compose(ConstOp("add", BitString(alpha, t)), PadLeft(shrunk, a + 1))
-        cp = Compose(_cover_decode(n, k * n), shifted)
+        cp = Compose(Builtin("cover_decode", k=n, m=k * n), shifted)
         return ProblemInstance(tgt, n, cp)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "k": k, "n": n, "shift": t},
+        source_n=m, target_n=n,
         transform=transform, **_shrunk_pullback(src, gamma + 1, alpha - 1 - a),
-        note="shift shrunk ranks into the top band whose sets share the first element",
     )
 
 
 @entry(6)
 def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
+    """Classify sets by their partition class; distinct blocks of one class are disjoint."""
     src = ProblemId("weak_gekr", k=k)
     tgt = ProblemId("weak_pigeon")
     gamma = ceil_log2(binomial(k * n - 1, n - 1))
@@ -715,24 +700,19 @@ def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=gamma, params={"n": n, "k": k},
+        source_n=n, target_n=gamma,
         transform=transform, **_pair_pullback(partial(_set_pair, src, n, operator.eq),
                                               partial(_set_pairs_many, n, operator.eq)),
-        note="classify sets by their partition class; distinct blocks of one class are disjoint",
     )
 
 
 @entry(7, forbidden=("i", "iii"))
 def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
+    """Reflect the map onto top ranks so every image contains the first element."""
     src = ProblemId("pigeon")
     tgt = ProblemId("gekr", k=k)
-    n = 2
-    while n <= _MAX_SIZE_SCAN and binomial(k * n - 1, n - 1) < (1 << m):
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
-    thr = binomial(k * n - 1, n - 1)
-    gamma = ceil_log2(thr)
+    n = _smallest_size(2, m, lambda n: binomial(k * n - 1, n - 1) >= 1 << m)
+    gamma = ceil_log2(binomial(k * n - 1, n - 1))
     total = binomial(k * n, n)
     alpha = ceil_log2(total)
     top = total - 1
@@ -743,19 +723,19 @@ def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
         padded = PadLeft(guarded, alpha - gamma)
         flipped = Compose(not_all(alpha), padded)
         ranked = Compose(ConstOp("add", BitString(alpha, (top + 1) % (1 << alpha))), flipped)
-        cp = Compose(_cover_decode(n, k * n), ranked)
+        cp = Compose(Builtin("cover_decode", k=n, m=k * n), ranked)
         return ProblemInstance(tgt, n, cp)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "k": k, "n": n, "threshold": thr},
+        source_n=m, target_n=n,
         transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
-        note="reflect the map onto top ranks so every image contains the first element",
     )
 
 
 @entry(8)
 def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
+    """Partition classes below the class count; class zero is the canonical partition."""
     src = ProblemId("gekr", k=k)
     tgt = ProblemId("pigeon")
     thr = binomial(k * n - 1, n - 1)
@@ -768,11 +748,10 @@ def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=gamma, params={"n": n, "k": k, "threshold": thr},
+        source_n=n, target_n=gamma,
         transform=transform,
         translate=_below_identity(thr, partial(_lone_set, src, n),
                                   partial(_set_pair, src, n, operator.eq)),
-        note="partition classes below the class count; class zero is the canonical partition",
     )
 
 
@@ -782,6 +761,7 @@ def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
 
 @entry(9)
 def _build_weak_ekr_to_weak_sperner(n: int = 2) -> Reduction:
+    """Double the domain; the flag bit selects the complemented copy."""
     src = ProblemId("weak_ekr")
     tgt = ProblemId("weak_sperner")
     alpha = ceil_log2(binomial(2 * n, n))
@@ -791,35 +771,35 @@ def _build_weak_ekr_to_weak_sperner(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n},
+        source_n=n, target_n=n,
         transform=transform, **_pair_pullback(partial(_doubled_pair, src, n, alpha),
                                               partial(_doubled_pairs_many, n)),
-        note="double the domain; the flag bit selects the complemented copy",
     )
 
 
 @entry(10)
 def _build_weak_sperner_to_weak_pigeon(n: int = 2) -> Reduction:
+    """Rank the symmetric-chain representative; same chain yields containment."""
     src = ProblemId("weak_sperner")
     tgt = ProblemId("weak_pigeon")
     alpha = ceil_log2(binomial(2 * n, n))
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         rep = Builtin("chain_rep", n=n)
-        cp = Compose(_cover_encode(n, 2 * n), Compose(rep, inst.circuit))
+        cp = Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, inst.circuit))
         return ProblemInstance(tgt, alpha, cp)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=alpha, params={"n": n},
+        source_n=n, target_n=alpha,
         transform=transform, **_pair_pullback(partial(_chain_pair, src, catalan_factorize),
                                               _chain_pairs_many),
-        note="rank the symmetric-chain representative; same chain yields containment",
     )
 
 
 @entry(11)
 def _build_ekr_to_sperner(n: int = 2) -> Reduction:
+    """Tight-width domain doubling with a complemented upper copy."""
     src = ProblemId("ekr")
     tgt = ProblemId("sperner")
     rank_w = ceil_log2(binomial(2 * n - 1, n - 1))
@@ -839,14 +819,14 @@ def _build_ekr_to_sperner(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n, "threshold": thr},
+        source_n=n, target_n=n,
         transform=transform, translate=translate,
-        note="tight-width domain doubling with a complemented upper copy",
     )
 
 
 @entry(12)
 def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
+    """Conjugated chain representative; zero rank forces the bottom extremal set."""
     src = ProblemId("sperner")
     tgt = ProblemId("pigeon")
     thr = binomial(2 * n, n)
@@ -855,7 +835,7 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
     def transform(inst: ProblemInstance) -> ProblemInstance:
         sigma = swap_halves(2 * n)
         rep = Compose(sigma, Compose(Builtin("chain_rep", n=n), sigma))
-        ranked = Compose(_cover_encode(n, 2 * n), Compose(rep, inst.circuit))
+        ranked = Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, inst.circuit))
         cp = Piecewise((Case(ranked, 0, thr), Case(identity(w), 0, 1 << w)))
         return ProblemInstance(tgt, w, cp)
 
@@ -865,11 +845,10 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n, "threshold": thr},
+        source_n=n, target_n=w,
         transform=transform,
         translate=_below_identity(thr, lambda c, x: make_solution(src, "ii", x),
                                   partial(_chain_pair, src, conj_factor)),
-        note="conjugated chain representative; zero rank forces the bottom extremal set",
     )
 
 
@@ -879,9 +858,10 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
 
 @entry(13)
 def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
+    """Rank edge maps through the tree codec; non-trees clamp to rank zero."""
     src = ProblemId("weak_cayley")
     tgt = ProblemId("weak_pigeon")
-    beta = ceil_log2(n ** (n - 2))
+    beta = prufer_width(n)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         cp = Compose(Builtin("prufer_encode", n=n), inst.circuit)
@@ -889,23 +869,19 @@ def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=beta, params={"n": n},
+        source_n=n, target_n=beta,
         transform=transform, **_pair_pullback(partial(_tree_pair, src, n),
                                               partial(_tree_pairs_many, n)),
-        note="rank edge maps through the tree codec; non-trees clamp to rank zero",
     )
 
 
 @entry(14, forbidden=("i",))
 def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
+    """Shrink one bit and decode low tree ranks; images are always trees."""
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_cayley")
-    n = 3
-    while n <= _MAX_SIZE_SCAN and n ** (n - 2) < (1 << (m + 1)):
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
-    beta = ceil_log2(n ** (n - 2))
+    n = _smallest_size(3, m, lambda n: tree_count(n) >= 1 << (m + 1))
+    beta = prufer_width(n)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         shrunk = shrink_chain(inst.circuit, beta + 1, beta - 1)
@@ -914,23 +890,19 @@ def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "n": n, "beta": beta},
+        source_n=m, target_n=n,
         transform=transform, **_shrunk_pullback(src, beta + 1, beta - 1),
-        note="shrink one bit and decode low tree ranks; images are always trees",
     )
 
 
 @entry(15, forbidden=("i",))
 def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
+    """Decode guarded ranks as trees; the overflow band pins the star tree."""
     src = ProblemId("pigeon")
     tgt = ProblemId("cayley")
-    n = 3
-    while n <= _MAX_SIZE_SCAN and n ** (n - 2) < (1 << m):
-        n += 1
-    if n > _MAX_SIZE_SCAN:
-        raise CapabilityError(f"no target size under {_MAX_SIZE_SCAN} fits source width {m}")
-    thr = n ** (n - 2)
-    beta = ceil_log2(thr)
+    n = _smallest_size(3, m, lambda n: tree_count(n) >= 1 << m)
+    thr = tree_count(n)
+    beta = prufer_width(n)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         guarded = GuardPrefix(embed(inst.circuit, beta), 1 << m)
@@ -943,18 +915,18 @@ def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "n": n, "threshold": thr},
+        source_n=m, target_n=n,
         transform=transform, translate=_guarded_map_pullback(src, m, "iii", thr),
-        note="decode guarded ranks as trees; the overflow band pins the star tree",
     )
 
 
 @entry(16)
 def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
+    """Tree ranks below the tree count; rank zero names the star tree."""
     src = ProblemId("cayley")
     tgt = ProblemId("pigeon")
-    thr = n ** (n - 2)
-    beta = ceil_log2(thr)
+    thr = tree_count(n)
+    beta = prufer_width(n)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         ranked = Compose(Builtin("prufer_encode", n=n), inst.circuit)
@@ -971,9 +943,8 @@ def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=beta, params={"n": n, "threshold": thr},
+        source_n=n, target_n=beta,
         transform=transform, translate=_below_identity(thr, zero, partial(_tree_pair, src, n)),
-        note="tree ranks below the tree count; rank zero names the star tree",
     )
 
 
@@ -991,6 +962,7 @@ def _sorted_cat(u: BitString, v: BitString) -> BitString:
 
 @entry(17, forbidden=("ii",))
 def _build_weak_pigeon_to_ws_collisions(m: int = 2) -> Reduction:
+    """Symmetrized chain compressor colors pairs; any solution yields a chain collision."""
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("ws_collisions")
     n = m
@@ -1048,13 +1020,12 @@ def _build_weak_pigeon_to_ws_collisions(m: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m},
+        source_n=m, target_n=n,
         transform=transform, translate=translate, translate_many=translate_many,
-        note="symmetrized chain compressor colors pairs; any solution yields a chain collision",
     )
 
 
-def _identity_entry(src_name: str, tgt_name: str, n: int, note: str) -> Reduction:
+def _identity_entry(src_name: str, tgt_name: str, n: int) -> Reduction:
     """Entries 18 and 19: the instance carries over unchanged, and so does
     every target solution."""
     src = ProblemId(src_name)
@@ -1071,26 +1042,26 @@ def _identity_entry(src_name: str, tgt_name: str, n: int, note: str) -> Reductio
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n},
-        transform=transform, translate=translate, translate_many=translate_many, note=note,
+        source_n=n, target_n=n,
+        transform=transform, translate=translate, translate_many=translate_many,
     )
 
 
 @entry(18)
 def _build_ws_collisions_to_ws_colorful(n: int = 2) -> Reduction:
-    return _identity_entry("ws_collisions", "ws_colorful", n,
-                           "identity on instances; colorful matching-triangle witnesses "
-                           "also match plainly")
+    """Identity on instances; colorful matching-triangle witnesses also match plainly."""
+    return _identity_entry("ws_collisions", "ws_colorful", n)
 
 
 @entry(19)
 def _build_ws_colorful_to_ws(n: int = 2) -> Reduction:
-    return _identity_entry("ws_colorful", "ws", n,
-                           "identity on instances; the three shared solution types carry over")
+    """Identity on instances; the three shared solution types carry over."""
+    return _identity_entry("ws_colorful", "ws", n)
 
 
 @entry(20)
 def _build_ws_collisions_to_weak_pigeon(n: int = 5) -> Reduction:
+    """Three prefix-tagged color probes; a probe collision matches two triangles."""
     if n < 5:
         raise CapabilityError("padding prefixes need n >= 5 to keep endpoints distinct")
     src = ProblemId("ws_collisions")
@@ -1129,9 +1100,8 @@ def _build_ws_collisions_to_weak_pigeon(n: int = 5) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=3 * n, params={"n": n},
+        source_n=n, target_n=3 * n,
         transform=transform, translate=translate,
-        note="three prefix-tagged color probes; a probe collision matches two triangles",
     )
 
 
@@ -1210,22 +1180,39 @@ def _case5_collision(src: ProblemId, col, a: BitString, b: BitString, c: BitStri
     return make_solution(src, "iv", x, b, c, *tri2)
 
 
-def _colorings(inst: ProblemInstance):
-    c = inst.circuit
-
-    def col(u: BitString, v: BitString) -> int:
-        return c.value_at((u.value << v.width) | v.value)
-
-    return col
+def _ws_collision(src: ProblemId, inst: ProblemInstance, x: BitString, y: BitString,
+                  specials: Optional[tuple[int, int, int]] = None) -> Solution:
+    """Pull-back of a collision (x, y) of entries 21 and 27: ``_ws_case_of`` of
+    both, then ``_case4_collision`` or ``_case5_collision``.  With ``specials``
+    = (col(a,b), col(a,c), col(b,c)) (entry 27) a uniform-probe witness is
+    first matched against the anchors' colors."""
+    a, b, c = inst.abc
+    col = partial(_color, inst)
+    case_x = _ws_case_of(col, a, b, c, x)
+    case_y = _ws_case_of(col, a, b, c, y)
+    if case_x != case_y or case_x in (1, 2, 3):
+        raise IntegrityError("collision across distinct image bands")
+    if case_x == 5:
+        return _case5_collision(src, col, a, b, c, x, y)
+    if specials is not None:
+        s_ab, s_ac, s_bc = specials
+        for w in (x, y):
+            xi = col(w, a)
+            if xi == s_ab:
+                return _tri(src, w, a, b)
+            if xi == s_ac:
+                return _tri(src, w, a, c)
+            if xi == s_bc:
+                return _sym_or_none(src, col, w, a) or _tri(src, a, w, b)
+    if col(x, a) != col(y, a):
+        raise IntegrityError("unequal probes in the uniform band")
+    return _case4_collision(src, col, a, b, c, x, y)
 
 
 def _ws_collisions_many(inst: ProblemInstance, rows: np.ndarray,
                         specials: Optional[tuple[int, int, int]] = None) -> list:
-    """Array form of the collision analysis of entries 21 and 27 over rows
-    (x, y): ``_ws_case_of`` of both, then ``_case4_collision`` or
-    ``_case5_collision``, each row taking the branch the scalar pull-back
-    takes.  With ``specials`` = (col(a,b), col(a,c), col(b,c)) (entry 27) a
-    uniform-probe witness is first matched against the anchors' colors.
+    """Array form of ``_ws_collision`` over rows (x, y), each row taking the
+    branch the scalar pull-back takes.
 
     Every color read here, between x or y and an anchor or between two
     anchors, comes from one ``values_at`` call.
@@ -1305,7 +1292,7 @@ def _ws_bands(inst: ProblemInstance, anchor_values: tuple[int, int, int]):
     )
     uniform = Compose(_and2(), fanout([
         Compose(eq_halves(2 * n), fanout([colxb, colxc])),
-        Compose(eq_const(n, _colorings(inst)(b, c)), colxb),
+        Compose(eq_const(n, _color(inst, b, c)), colxb),
     ]))
     ranked = Compose(Builtin("lexpair_encode", n=n), fanout([colxb, colxc]))
     return anchors, colxa, ranked, uniform
@@ -1313,6 +1300,7 @@ def _ws_bands(inst: ProblemInstance, anchor_values: tuple[int, int, int]):
 
 @entry(21)
 def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
+    """Rank each vertex by its colors toward the anchors; bands tile the whole codomain."""
     if n < 5:
         raise CapabilityError("image bands of the pair ranking overlap below n = 5")
     src = ProblemId("ws_colorful")
@@ -1329,34 +1317,22 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         a, b, c = inst.abc
-        col = _colorings(inst)
-        if col(a, b) == col(a, c):
+        if _color(inst, a, b) == _color(inst, a, c):
             return make_solution(src, "i")
         if sol.tag == "i":
             raise IntegrityError("the image avoids zero")
-        x, y = sol.get("x"), sol.get("y")
-        case_x = _ws_case_of(col, a, b, c, x)
-        case_y = _ws_case_of(col, a, b, c, y)
-        if case_x != case_y or case_x in (1, 2, 3):
-            raise IntegrityError("collision across distinct image bands")
-        if case_x == 4:
-            if col(x, a) != col(y, a):
-                raise IntegrityError("unequal probes in the uniform band")
-            return _case4_collision(src, col, a, b, c, x, y)
-        return _case5_collision(src, col, a, b, c, x, y)
+        return _ws_collision(src, inst, sol.get("x"), sol.get("y"))
 
     def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
         a, b, c = inst.abc
-        col = _colorings(inst)
-        if col(a, b) == col(a, c):
+        if _color(inst, a, b) == _color(inst, a, c):
             return _every_row(make_solution(src, "i"), len(rows))
         return [] if tag == "i" else _ws_collisions_many(inst, rows)
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n},
+        source_n=n, target_n=w,
         transform=transform, translate=translate, translate_many=translate_many,
-        note="rank each vertex by its colors toward the anchors; bands tile the whole codomain",
     )
 
 
@@ -1366,6 +1342,7 @@ def _build_ws_colorful_to_pigeon(n: int = 5) -> Reduction:
 
 @entry(22, forbidden=("i", "ii"))
 def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
+    """Bipartite edge listing; only index collisions are possible and they compress."""
     src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_mantel")
     n = m + 1
@@ -1401,9 +1378,8 @@ def _build_weak_pigeon_to_weak_mantel(m: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m},
+        source_n=m, target_n=n,
         transform=transform, translate=translate, translate_many=translate_many,
-        note="bipartite edge listing; only index collisions are possible and they compress",
     )
 
 
@@ -1461,9 +1437,8 @@ def _edge_translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> l
     return g.groups
 
 
-@entry(23)
-def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
-    src = ProblemId("weak_mantel")
+def _edge_rank(src: ProblemId, n: int) -> Reduction:
+    """Entries 23 and 26: rank each edge's endpoint pair by ``_lex_shift_circuit``."""
     tgt = ProblemId("pigeon")
     w = 2 * n - 1
 
@@ -1473,14 +1448,20 @@ def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n},
+        source_n=n, target_n=w,
         transform=transform, translate=_edge_translate, translate_many=_edge_translate_many,
-        note="rank increasing endpoint pairs; decreasing pairs collapse to the low band",
     )
+
+
+@entry(23)
+def _build_weak_mantel_to_pigeon(n: int = 2) -> Reduction:
+    """Rank increasing endpoint pairs; decreasing pairs collapse to the low band."""
+    return _edge_rank(ProblemId("weak_mantel"), n)
 
 
 @entry(24, forbidden=("i", "ii"))
 def _build_pigeon_to_mantel(m: int = 2) -> Reduction:
+    """Split the image into bipartite endpoints; zero maps to the consecutive pair."""
     src = ProblemId("pigeon")
     tgt_m = m if m % 2 == 0 else m + 1
     n = tgt_m // 2 + 1
@@ -1533,14 +1514,14 @@ def _build_pigeon_to_mantel(m: int = 2) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=m, target_n=n, params={"m": m, "n": n},
+        source_n=m, target_n=n,
         transform=transform, translate=translate,
-        note="split the image into bipartite endpoints; zero maps to the consecutive pair",
     )
 
 
 @entry(25)
 def _build_weak_turan_widen(n: int = 2, r1: int = 2, r2: int = 3) -> Reduction:
+    """A larger forbidden clique is weaker; shrink found cliques to the corner."""
     if r1 > r2:
         raise CapabilityError("the clique bound can only be widened, need r1 <= r2")
     src = ProblemId("weak_turan", r=r1)
@@ -1571,28 +1552,15 @@ def _build_weak_turan_widen(n: int = 2, r1: int = 2, r2: int = 3) -> Reduction:
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=n, params={"n": n, "r1": r1, "r2": r2},
+        source_n=n, target_n=n,
         transform=transform, translate=translate,
-        note="a larger forbidden clique is weaker; shrink found cliques to the corner",
     )
 
 
 @entry(26)
 def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
-    src = ProblemId("weak_turan", r=r)
-    tgt = ProblemId("pigeon")
-    w = 2 * n - 1
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = Compose(_lex_shift_circuit(n), inst.circuit)
-        return ProblemInstance(tgt, w, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n, "r": r},
-        transform=transform, translate=_edge_translate, translate_many=_edge_translate_many,
-        note="same edge ranking as the triangle case; only the source clauses differ",
-    )
+    """Same edge ranking as the triangle case; only the source clauses differ."""
+    return _edge_rank(ProblemId("weak_turan", r=r), n)
 
 
 # ---------------------------------------------------------------------------
@@ -1601,6 +1569,7 @@ def _build_weak_turan_to_pigeon(n: int = 2, r: int = 3) -> Reduction:
 
 @entry(27)
 def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
+    """Band layout shifted to the top segment so only collisions remain."""
     if n < 5:
         raise CapabilityError("image bands of the pair ranking overlap below n = 5")
     src = ProblemId("ws_colorful")
@@ -1608,10 +1577,9 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
     tgt = ProblemId("general_pigeon", k=tgt_k)
     w = 2 * n
 
-    def special_colors(inst: ProblemInstance) -> list[int]:
+    def special_colors(inst: ProblemInstance) -> tuple[int, int, int]:
         a, b, c = inst.abc
-        col = _colorings(inst)
-        return [col(a, b), col(a, c), col(b, c)]
+        return _color(inst, a, b), _color(inst, a, c), _color(inst, b, c)
 
     def transform(inst: ProblemInstance) -> ProblemInstance:
         anchors, colxa, ranked, uniform = _ws_bands(inst, (tgt_k, tgt_k + 1, tgt_k + 2))
@@ -1639,56 +1607,31 @@ def _build_ws_colorful_to_general_pigeon(n: int = 5) -> Reduction:
         """The source solution of every target row when the anchors' own
         colors already give one."""
         a, b, c = inst.abc
-        col = _colorings(inst)
         s_ab, s_ac, s_bc = special_colors(inst)
         if s_ab == s_ac:
             return make_solution(src, "i")
         if s_ab == s_bc:
             return _tri(src, a, b, c)
         if s_ac == s_bc:
-            return _sym_or_none(src, col, b, c) or _tri(src, a, c, b)
+            return _sym_or_none(src, partial(_color, inst), b, c) or _tri(src, a, c, b)
         return None
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         done = settled(inst)
         if done is not None:
             return done
-        a, b, c = inst.abc
-        col = _colorings(inst)
-        s_ab, s_ac, s_bc = special_colors(inst)
         if sol.tag == "ii":
             raise IntegrityError("images all sit at or above k")
-        x, y = sol.get("x"), sol.get("y")
-        case_x = _ws_case_of(col, a, b, c, x)
-        case_y = _ws_case_of(col, a, b, c, y)
-        if case_x != case_y or case_x in (1, 2, 3):
-            raise IntegrityError("collision across distinct image bands")
-        if case_x == 4:
-            for wv in (x, y):
-                xi = col(wv, a)
-                if xi == s_ab:
-                    return _tri(src, wv, a, b)
-                if xi == s_ac:
-                    return _tri(src, wv, a, c)
-                if xi == s_bc:
-                    sym = _sym_or_none(src, col, wv, a)
-                    if sym:
-                        return sym
-                    return _tri(src, a, wv, b)
-            if col(x, a) != col(y, a):
-                raise IntegrityError("distinct non-special probes collided")
-            return _case4_collision(src, col, a, b, c, x, y)
-        return _case5_collision(src, col, a, b, c, x, y)
+        return _ws_collision(src, inst, sol.get("x"), sol.get("y"), special_colors(inst))
 
     def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
         done = settled(inst)
         if done is not None:
             return _every_row(done, len(rows))
-        return [] if tag == "ii" else _ws_collisions_many(inst, rows, tuple(special_colors(inst)))
+        return [] if tag == "ii" else _ws_collisions_many(inst, rows, special_colors(inst))
 
     return Reduction(
         source=src, target=tgt,
-        source_n=n, target_n=w, params={"n": n, "k": tgt_k},
+        source_n=n, target_n=w,
         transform=transform, translate=translate, translate_many=translate_many,
-        note="band layout shifted to the top segment so only collisions remain",
     )

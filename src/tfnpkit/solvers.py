@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .circuit import Circuit, Compose, Gate, GateNet, const_circuit, eval_all, not_all, take_low
-from .errors import CapabilityError, DomainError, IntegrityError, ParseError
+from .errors import DomainError, IntegrityError, ParseError
 from .numerics import BitString
 from .problems import (
     ProblemId,
@@ -40,6 +40,7 @@ from .problems import (
 )
 from .reductions import (
     Reduction,
+    _ws_abc,
     apply as apply_reduction,
     build_entry,
     lookup,
@@ -60,22 +61,18 @@ __all__ = [
     "solution_rows",
 ]
 
-WIDTH_CAP = 22
 MAX_PARALLELISM = 64
 
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Limits for exhaustive search: input width cap, per-type solution cap,
-    and an optional thread count for partitioned scans."""
+    """Per-type solution cap and thread count of an exhaustive search, whose
+    input width ``eval_all`` caps at ``circuit.MAX_EVAL_WIDTH``."""
 
-    max_in_width: int = WIDTH_CAP
     max_per_type: Optional[int] = 2000
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.max_in_width > WIDTH_CAP:
-            raise DomainError(f"width cap {self.max_in_width} exceeds the hard limit {WIDTH_CAP}")
         if not 1 <= self.parallelism <= MAX_PARALLELISM:
             raise DomainError(f"parallelism must be between 1 and {MAX_PARALLELISM}, "
                               f"got {self.parallelism}")
@@ -88,14 +85,12 @@ def _solutions(inst: ProblemInstance, tag: str, rows: list) -> list[Solution]:
     return [Solution(tag, tuple(zip(names, [BitString(width, v) for v in values]))) for values in rows]
 
 
-def _table(inst: ProblemInstance, budget: SolveBudget) -> tuple[np.ndarray, int]:
-    """The output table and the witness range, after the budget's checks."""
+def _table(inst: ProblemInstance) -> tuple[np.ndarray, int]:
+    """The output table and the witness range of a well-formed instance."""
     wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"instance is malformed: {wf.reason}")
     w = inst.circuit.in_width
-    if w > budget.max_in_width:
-        raise CapabilityError(f"input width {w} exceeds budget {budget.max_in_width}")
     return eval_all(inst.circuit), 1 << inst.pid.spec.witness_width(inst.n, w)
 
 
@@ -114,7 +109,7 @@ def solution_rows(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     sorted-index form, from a depth-first search that yields them in
     ascending order without building the rest.
     """
-    outs, hi = _table(inst, budget)
+    outs, hi = _table(inst)
     cap = budget.max_per_type
     rows: dict[str, np.ndarray] = {}
     truncated = False
@@ -141,7 +136,7 @@ def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     Deterministic for any parallelism degree: chunks of the first-witness
     range are scanned independently and reduced by the canonical order.
     """
-    outs, hi = _table(inst, budget)
+    outs, hi = _table(inst)
 
     def first_in(tag: str, lo: int, chunk_hi: int) -> Optional[Solution]:
         values = next(inst.pid.spec.clauses[tag].scan(inst, outs, lo, chunk_hi), None)
@@ -209,7 +204,7 @@ def designed_instances(pid: ProblemId, n: int) -> list[ProblemInstance]:
         circuits.append(not_all(in_w))
     abc = nm = None
     if pid.spec.vertex_pairs:
-        abc = (BitString(2 * n, 0), BitString(2 * n, (1 << (2 * n)) - 1), BitString(2 * n, 1))
+        abc = _ws_abc(n)
     if pid.spec.nm:
         nm = honest_turan_params(pid.r, n)
     return [ProblemInstance(pid, n, c, abc=abc, nm=nm) for c in circuits]
@@ -220,8 +215,7 @@ def designed_instances(pid: ProblemId, n: int) -> list[ProblemInstance]:
 
 
 def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
-                   budget: Optional[SolveBudget] = None,
-                   params: Optional[dict] = None) -> dict:
+                   budget: Optional[SolveBudget] = None) -> dict:
     """Drive one registry entry over designed plus seeded random instances.
 
     Every enumerated target solution is pulled back and re-verified on the
@@ -253,7 +247,7 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
         raise DomainError(f"seed must be non-negative, got {seed}")
     row = lookup(name_or_index)
     index = row.index
-    red = build_entry(index, **(params or {}))
+    red = build_entry(index)
     if budget is None:
         tgt_w, _ = circuit_shape(red.target, red.target_n)
         if tgt_w > 12:
@@ -277,8 +271,7 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     # constant circuits collide everywhere; cap their enumeration regardless
     designed_budget = budget
     if budget.max_per_type is None or budget.max_per_type > 2000:
-        designed_budget = SolveBudget(max_in_width=budget.max_in_width, max_per_type=2000,
-                                      parallelism=budget.parallelism)
+        designed_budget = SolveBudget(max_per_type=2000, parallelism=budget.parallelism)
 
     checked = 0
     failures = 0

@@ -1,9 +1,10 @@
-"""The benchmark's battery workloads, run in process at the default seed.
+"""The benchmark's workloads, run in process at the default seed.
 
-``perfbench/run.py`` rejects a run whose battery passes do not reproduce
-``perfbench/fingerprint.json``, or whose traced pass never enters a layer
-that ``run.EXERCISED`` assigns to the workload.  These tests run the same
-pass functions, so a change that breaks either contract fails here first.
+``perfbench/run.py`` rejects a run whose passes do not reproduce
+``perfbench/fingerprint.json``, or whose traced battery pass never enters a
+layer that ``run.EXERCISED`` assigns to the workload.  These tests run the
+same pass functions, so a change that breaks either contract fails here
+first.
 """
 
 import json
@@ -17,6 +18,7 @@ import tfnpkit.cli  # noqa: F401  (loads every submodule, as the benchmark does)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BATTERIES = ("battery-ws", "battery-sets")
+WORKLOADS = (*BATTERIES, "solve-wide", "pipeline-cli")
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +38,11 @@ def fingerprints():
     return json.loads((PERFBENCH / "fingerprint.json").read_text())
 
 
-@pytest.mark.parametrize("workload", BATTERIES)
-def test_battery_pass_matches_fingerprint(bench, fingerprints, workload):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_battery_pass_matches_fingerprint(bench, fingerprints, workload, tmp_path, monkeypatch):
     run, _, workloads = bench
+    # the pipeline-cli jobs write their files under the current directory
+    monkeypatch.chdir(tmp_path)
     res = workloads.run_pass(tfnpkit, workload, run.DEFAULT_SEED)
     assert res.failed == 0, res.errors
     assert res.fingerprint == fingerprints[workload]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -69,7 +70,17 @@ def test_codec_usage_errors(capsys):
     code, _, err = run(capsys, "codec", "encode", "cover", "k=2", "m=4", "01xzy1")
     assert code == 2
     code, _, err = run(capsys, "codec", "encode", "nosuch", "0011")
-    assert code == 2 and "unknown codec" in err
+    assert code == 2 and err == ("parse error [codec]: unknown codec 'nosuch'; "
+                                 "pick cover, lexpair, prufer, catalan, chain\n")
+    code, _, err = run(capsys, "codec", "decode", "chain", "0011")
+    assert code == 2 and err == (
+        "parse error [codec]: chain is a projection onto representatives; it has no decode\n")
+    code, _, err = run(capsys, "codec", "encode", "lexpair", "n=2", "011")
+    assert code == 2 and err == (
+        "parse error [codec]: codec encode lexpair: input must be the 2n-bit pair u||v\n")
+    # a codec takes only its own parameters
+    code, out, err = run(capsys, "codec", "encode", "cover", "k=2", "m=4", "x=1", "0011")
+    assert code == 2 and out == "" and "takes no parameter 'x'" in err
     # decode past the rank range is a domain error, still exit 2
     code, _, err = run(capsys, "codec", "decode", "cover", "k=2", "m=4", "110")
     assert code == 2 and "error" in err
@@ -310,6 +321,31 @@ def test_baranyai_command(capsys, tmp_path, monkeypatch):
     # under the table cap, but the exact-cover search gives up
     code, out, err = run(capsys, "baranyai", "4", "3")
     assert code == 2 and "search nodes" in err and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "BLOCK cover_decode k=1000000 m=2000000"),
+    ("verify", "BLOCK prufer_encode n=2000000"),
+    ("verify", "BLOCK prufer_decode n=2000000"),
+    ("baranyai", "100000", "100000"),
+    ("baranyai", "1000000", "1000000"),
+], ids=["cover-block", "prufer-encode-block", "prufer-decode-block", "baranyai-1e5",
+        "baranyai-1e6"])
+def test_oversized_counts_exit_2_at_once(capsys, tmp_path, argv):
+    # exact counts past numerics.MAX_COUNT_ARG are refused before they are
+    # computed; a file's BLOCK line is reported with its line number
+    if argv[0] == "verify":
+        inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+        inst.write_text(f"PROBLEM weak_pigeon\nPARAM n=2\nCIRCUIT in=3 out=2\n{argv[1]}\n")
+        sol.write_text("SOLUTION type=ii\nWITNESS x=000\nWITNESS y=001\n")
+        argv = ("verify", "--inst", str(inst), "--sol", str(sol))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "past the counting cap 1024" in err
+    assert "Traceback" not in err
+    if argv[0] == "verify":
+        assert err.startswith("parse error [verify]: line 4: ")
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from tfnpkit.encodings import (
     prufer_width,
     tree_count,
 )
-from tfnpkit.errors import DomainError, OutOfRangeError
-from tfnpkit.numerics import BitString, binomial, bits_of, ceil_log2
+from tfnpkit.errors import CapabilityError, DomainError, OutOfRangeError
+from tfnpkit.numerics import MAX_COUNT_ARG, BitString, binomial, bits_of, ceil_log2
 
 
 def B(s):
@@ -161,6 +161,15 @@ def test_prufer_non_tree_clamps_to_rank_zero():
     non_trees = [g for g in range(1 << m) if not is_spanning_tree(n, bits_of(g, m))]
     for g in non_trees[:40] + non_trees[-40:]:
         assert prufer_encode_rank(n, bits_of(g, m)).value == 0
+
+
+def test_exact_counts_stop_at_the_counting_cap():
+    assert binomial(MAX_COUNT_ARG, 2) == MAX_COUNT_ARG * (MAX_COUNT_ARG - 1) // 2
+    assert tree_count(MAX_COUNT_ARG) == MAX_COUNT_ARG ** (MAX_COUNT_ARG - 2)
+    assert prufer_width(MAX_COUNT_ARG) == (MAX_COUNT_ARG - 2) * 10
+    for count in (lambda m: binomial(m, 1), tree_count, prufer_width):
+        with pytest.raises(CapabilityError, match="past the counting cap 1024"):
+            count(MAX_COUNT_ARG + 1)
 
 
 def test_edge_bitmap_round_trip():

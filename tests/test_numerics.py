@@ -8,7 +8,6 @@ from tfnpkit.numerics import (
     binomial,
     bits_of,
     ceil_log2,
-    concat,
 )
 
 
@@ -55,7 +54,7 @@ def test_slice_matches_bitwise_reference():
 def test_concat_weight_complement():
     a = BitString.from_str("101")
     b = BitString.from_str("01")
-    assert str(concat(a, b)) == "10101"
+    assert str(a.concat(b)) == "10101"
     assert a.weight == 2
     assert str(a.complement()) == "010"
 

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
-from tfnpkit.circuit import Table
+import tfnpkit.problems as problems
+from tfnpkit.circuit import MAX_TABLE_WIDTH, Table
 from tfnpkit.encodings import is_spanning_tree
-from tfnpkit.errors import DomainError, ParseError
+from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import BitString, binomial, bits_of, ceil_log2
 from tfnpkit.problems import (
     ProblemId,
@@ -345,6 +346,22 @@ def test_gen_is_deterministic_and_wellformed():
         assert wellformed(a).ok
         c = gen_random_instance(pid, n, 43)
         assert instance_to_text(a) != instance_to_text(c)
+
+
+class _NoDraws:
+    """A generator stand-in that fails any draw."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("a table was drawn past the table cap")
+
+
+def test_generation_past_the_table_cap_draws_nothing(monkeypatch):
+    monkeypatch.setattr(problems, "seeded_rng", lambda seed: _NoDraws())
+    # weak_pigeon at n has n + 1 input bits
+    with pytest.raises(CapabilityError, match="at most 20 input bits, got 21"):
+        gen_random_instance(ProblemId("weak_pigeon"), MAX_TABLE_WIDTH, 0)
+    with pytest.raises(CapabilityError, match="at most 20 input bits, got 40"):
+        problems.random_table(_NoDraws(), 40, 1)
 
 
 @pytest.mark.parametrize("name,n,extra", CROSS_CASES)

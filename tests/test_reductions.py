@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tfnpkit.circuit import Table, eval_all
-from tfnpkit.errors import DomainError
+from tfnpkit.errors import CapabilityError, DomainError
 from tfnpkit.numerics import bits_of
 from tfnpkit.problems import (
     ProblemId,
@@ -62,6 +62,24 @@ def test_build_lookup_both_ways():
         build_reduction("no_such_entry")
     with pytest.raises(DomainError):
         build_entry(28)
+
+
+# target size chosen by the size scan for source widths m = 1..8
+SCANNED_TARGET_N = {
+    2: [2, 3, 3, 4, 4, 5, 6, 6],
+    3: [2, 3, 3, 4, 4, 5, 6, 6],
+    5: [2, 3, 3, 3, 4, 4, 5, 5],
+    7: [2, 2, 3, 3, 4, 4, 4, 5],
+    14: [4, 4, 4, 5, 5, 6, 6, 6],
+    15: [3, 4, 4, 4, 5, 5, 6, 6],
+}
+
+
+def test_size_scan_picks_the_smallest_fitting_target():
+    for idx, sizes in SCANNED_TARGET_N.items():
+        assert [build_entry(idx, m=m).target_n for m in range(1, 9)] == sizes, idx
+    with pytest.raises(CapabilityError, match="no target size under 64 fits source width 200"):
+        build_entry(2, m=200)
 
 
 @pytest.mark.parametrize("idx", range(1, 28))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tfnpkit.catalog import _collision_pairs, _popcount, _tree_mask
-from tfnpkit.circuit import Table, eval_all
+from tfnpkit.circuit import MAX_EVAL_WIDTH, Table, eval_all
 from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import bits_of, ceil_log2
@@ -114,17 +114,17 @@ def test_truncation_flag_and_cap():
 
 
 def test_budget_guards():
-    with pytest.raises(DomainError):
-        SolveBudget(max_in_width=30)
     for p in (0, MAX_PARALLELISM + 1):
         with pytest.raises(DomainError, match="parallelism must be between 1 and 64"):
             SolveBudget(parallelism=p)
     assert SolveBudget(parallelism=MAX_PARALLELISM).parallelism == MAX_PARALLELISM == 64
+    wide = fuzz_instance(ProblemId("weak_pigeon"), 22, 0)
+    assert wide.circuit.in_width == MAX_EVAL_WIDTH + 1 == 23
+    with pytest.raises(CapabilityError, match="capped at in_width 22"):
+        enumerate_solutions(wide)
+    with pytest.raises(CapabilityError, match="capped at in_width 22"):
+        brute_force_solve(wide)
     inst = gen_random_instance(ProblemId("weak_pigeon"), 4, 0)
-    with pytest.raises(CapabilityError):
-        enumerate_solutions(inst, SolveBudget(max_in_width=4))
-    with pytest.raises(CapabilityError):
-        brute_force_solve(inst, SolveBudget(max_in_width=4))
     broken = ProblemInstance(ProblemId("pigeon"), 2, inst.circuit)
     with pytest.raises(DomainError):
         brute_force_solve(broken)
