@@ -165,12 +165,12 @@ def edge_count(n: int) -> int:
 
 
 def prufer_width(n: int) -> int:
-    if n < 2:
-        raise DomainError("trees need at least 2 vertices")
     return ceil_log2(tree_count(n))
 
 
 def tree_count(n: int) -> int:
+    if n < 2:
+        raise DomainError("trees need at least 2 vertices")
     if n > MAX_COUNT_ARG:
         raise CapabilityError(f"tree count {n}^{n - 2} is past the counting cap {MAX_COUNT_ARG}")
     return n ** (n - 2)
@@ -531,6 +531,7 @@ class PropertyReport:
 
 
 PAIR_SCAN_CAP = 4096
+DOMAIN_WIDTH_CAP = 16
 
 
 def check_property_preserving(
@@ -542,10 +543,10 @@ def check_property_preserving(
     every equivalence class of the given relation.
 
     The relation is probed pairwise, so the domain is capped at
-    PAIR_SCAN_CAP elements; in_width itself is capped at 16.
+    PAIR_SCAN_CAP elements; in_width itself is capped at DOMAIN_WIDTH_CAP.
     """
-    if enc.in_width > 16:
-        raise CapabilityError(f"domain enumeration capped at in_width 16, got {enc.in_width}")
+    if enc.in_width > DOMAIN_WIDTH_CAP:
+        raise CapabilityError(f"domain enumeration capped at in_width {DOMAIN_WIDTH_CAP}, got {enc.in_width}")
     xs = [bits_of(v, enc.in_width) for v in range(1 << enc.in_width)]
     if domain is not None:
         xs = [x for x in xs if domain(x)]

@@ -10,26 +10,27 @@ failure, prefixed with the entry's name, instead of a silently wrong answer.
 The registry is the ordered table ``ENTRIES``.  To add an entry, write one
 builder ``_build_<name>(<size parameters with defaults>) -> Reduction``, whose
 docstring states the construction, after the builder of the previous index and
-declare it with ``@entry(index)``.  The
-declaration is the only place that holds the entry's index, its name (the
-builder's name without ``_build_``), its default parameters (the builder's
-signature) and, as ``forbidden=``, the target solution tags its image provably
-avoids, which the fuzz harness asserts.  Pull-backs that repeat a case
-analysis (set pairs, doubled domains, chain representatives, trees, guarded
-maps, identity regions, edge ranks) share one helper for it.
+declare it with ``@entry(index)``.  The declaration is the only place that
+holds the entry's index, its name (the builder's name without ``_build_``),
+its default parameters (the builder's signature) and, as ``forbidden=``, the
+target solution tags its image provably avoids, which the fuzz harness
+asserts.
+
+The entries of one family state only their sizes and their circuit maps; one
+family builder (``_ranked_pairs``, ``_shrunk_entry``, ``_guarded_entry``,
+``_identity_above``, ``_identity_entry``, ``_edge_rank``) returns the whole
+``Reduction`` from them.  Pull-backs that repeat a case analysis (set pairs,
+doubled domains, chain representatives, trees) share one helper for it.
 
 An entry may also give ``translate_many(inst, tag, rows)``, the batch form of
 its pull-back over an (N, k) int array of target witness tuples of one tag.
 It returns groups ``(source tag, source rows, index)``: ``source rows`` is an
 int array of source witness tuples and ``index`` the target row each came
-from.  A target row for which ``translate`` raises is in no group.  The
-shrink-chain entries 2, 5, 14 and 17, the set, tree and graph entries 1, 6,
-9, 10, 13, 22, 23 and 26, the identity entries 18 and 19 and the ws band
-entries 21 and 27 give one; the fuzz harness checks such an entry's rows in
-batches.  Entry 20 and the set, tree and graph entries 3, 4, 7, 8, 11, 12,
-15, 16, 24 and 25 give none and are checked through the per-solution
-``pullback``.  ``translate`` stays the reference, and the CLI's ``pullback``
-uses it.
+from.  A target row for which ``translate`` raises is in no group.  Every
+entry gives one except entries 3, 4, 7, 8, 11, 12, 15, 16, 20, 24 and 25,
+which the fuzz harness checks through the per-solution ``pullback``; it
+checks the others' rows in batches.  ``translate`` stays the reference, and
+the CLI's ``pullback`` uses it.
 
 Size parameters that must satisfy a counting side condition (for example
 "the target codomain must be at least twice the source codomain") are found
@@ -318,11 +319,15 @@ def _chain_collisions_many(cprime: Circuit, w_in: int, w_out: int, a: np.ndarray
     return np.concatenate(found_u), np.concatenate(found_t)
 
 
-def _shrunk_pullback(src: ProblemId, w_in: int, w_out: int):
-    """Pull-back of an image built on the shrink-chain compressor (entries 2,
-    5 and 14), as the ``Reduction`` fields ``translate`` and
-    ``translate_many``: only collisions occur, and each replays to a source
-    collision."""
+def _shrunk_entry(tgt: ProblemId, m: int, target_n: int, w_in: int, w_out: int,
+                  finish: Callable[[Circuit], Circuit]) -> Reduction:
+    """Entries 2, 5 and 14: the target circuit is ``finish`` of the
+    shrink-chain compressor from w_in down to w_out bits.  Only collisions
+    occur, and each replays through the same chain to a source collision."""
+    src = ProblemId("weak_pigeon")
+
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        return ProblemInstance(tgt, target_n, finish(shrink_chain(inst.circuit, w_in, w_out)))
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         if sol.tag != "ii":
@@ -335,18 +340,28 @@ def _shrunk_pullback(src: ProblemId, w_in: int, w_out: int):
         u, t = _chain_collisions_many(inst.circuit, w_in, w_out, rows[:, 0], rows[:, 1])
         return [("ii", u, t)]
 
-    return {"translate": translate, "translate_many": translate_many}
+    return Reduction(
+        source=src, target=tgt,
+        source_n=m, target_n=target_n,
+        transform=transform, translate=translate, translate_many=translate_many,
+    )
 
 
-def _guarded_map_pullback(src: ProblemId, m: int, zero_tag: str, thr: Optional[int] = None):
-    """Pull-back of a pigeon map embedded below 2^m behind a guard (entries 3,
-    7 and 15).
+def _guarded_entry(tgt: ProblemId, m: int, target_n: int, width: int,
+                   finish: Callable[[Circuit], Circuit], zero_tag: str,
+                   thr: Optional[int] = None) -> Reduction:
+    """Entries 3, 7 and 15: the target circuit is ``finish`` of the pigeon
+    map embedded in ``width`` bits behind a guard at 2^m.
 
     A ``zero_tag`` witness is a zero of the map and a collision is a collision
     of the map.  With an overflow band from ``thr`` up, a collision with the
     band is a zero.
     """
+    src = ProblemId("pigeon")
     lim = 1 << m
+
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        return ProblemInstance(tgt, target_n, finish(GuardPrefix(embed(inst.circuit, width), lim)))
 
     def zero(c: Circuit, x: BitString) -> Solution:
         if x.value >= lim or c.value_at(x.value) != 0:
@@ -365,17 +380,28 @@ def _guarded_map_pullback(src: ProblemId, m: int, zero_tag: str, thr: Optional[i
             raise IntegrityError("collision touched the guarded region")
         return make_solution(src, "ii", _narrow(x, m), _narrow(y, m))
 
-    return translate
+    return Reduction(
+        source=src, target=tgt,
+        source_n=m, target_n=target_n,
+        transform=transform, translate=translate,
+    )
 
 
-def _below_identity(thr: int, zero, pair):
-    """Pull-back of a pigeon map that is the identity from rank ``thr`` up
-    (entries 4, 8, 12 and 16).
+def _identity_above(src: ProblemId, n: int, thr: int, rank: Callable[[Circuit], Circuit],
+                    zero, pair) -> Reduction:
+    """Entries 4, 8, 12 and 16: a pigeon map on ceil_log2(thr) bits, ``rank``
+    of the source circuit below ``thr`` and the identity from ``thr`` up.
 
     Tag i is a zero below ``thr``, pulled back by ``zero(circuit, x)``; any
     other tag is a collision below ``thr``, pulled back by
     ``pair(circuit, x, y)``.
     """
+    tgt = ProblemId("pigeon")
+    w = ceil_log2(thr)
+
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        cp = Piecewise((Case(rank(inst.circuit), 0, thr), Case(identity(w), 0, 1 << w)))
+        return ProblemInstance(tgt, w, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         x = sol.get("x")
@@ -388,14 +414,22 @@ def _below_identity(thr: int, zero, pair):
             raise IntegrityError("collision touched the identity region")
         return pair(inst.circuit, x, y)
 
-    return translate
+    return Reduction(
+        source=src, target=tgt,
+        source_n=n, target_n=w,
+        transform=transform, translate=translate,
+    )
 
 
-def _pair_pullback(pair, pairs_many) -> dict:
-    """The ``Reduction`` fields ``translate`` and ``translate_many`` of a
-    pull-back that reads one target pair (x, y) through the source circuit:
-    ``pair(circuit, x, y)`` and its array form ``pairs_many(circuit, rows)``
-    (entries 1, 6, 9, 10 and 13)."""
+def _ranked_pairs(src: ProblemId, tgt: ProblemId, n: int, target_n: int,
+                  rank: Callable[[Circuit], Circuit], pair, pairs_many) -> Reduction:
+    """Entries 1, 6, 9, 10 and 13: the target circuit is ``rank`` of the
+    source circuit, and every target solution is a pair (x, y) read back
+    through the source circuit by ``pair(circuit, x, y)``, or in batches by
+    its array form ``pairs_many(circuit, rows)``."""
+
+    def transform(inst: ProblemInstance) -> ProblemInstance:
+        return ProblemInstance(tgt, target_n, rank(inst.circuit))
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
         return pair(inst.circuit, sol.get("x"), sol.get("y"))
@@ -403,7 +437,11 @@ def _pair_pullback(pair, pairs_many) -> dict:
     def translate_many(inst: ProblemInstance, tag: str, rows: np.ndarray) -> list:
         return pairs_many(inst.circuit, rows)
 
-    return {"translate": translate, "translate_many": translate_many}
+    return Reduction(
+        source=src, target=tgt,
+        source_n=n, target_n=target_n,
+        transform=transform, translate=translate, translate_many=translate_many,
+    )
 
 
 def _lone_set(src: ProblemId, n: int, c: Circuit, x: BitString) -> Solution:
@@ -575,86 +613,44 @@ def _tree_pairs_many(n: int, c: Circuit, rows: np.ndarray) -> list:
 def _build_weak_ekr_to_weak_pigeon(n: int = 2) -> Reduction:
     """Rank sets through the cover codec, folding complements onto the same rank."""
     src = ProblemId("weak_ekr")
-    tgt = ProblemId("weak_pigeon")
     alpha = ceil_log2(binomial(2 * n, n))
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = _dispatch_by_first_bit(inst.circuit, 2 * n)
-        return ProblemInstance(tgt, alpha - 1, cp)
 
     def same_first(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         return (s >> (2 * n - 1)) == (t >> (2 * n - 1))
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=alpha - 1,
-        transform=transform, **_pair_pullback(partial(_set_pair, src, n, _same_first),
-                                              partial(_set_pairs_many, n, same_first)),
-    )
+    return _ranked_pairs(src, ProblemId("weak_pigeon"), n, alpha - 1,
+                         lambda c: _dispatch_by_first_bit(c, 2 * n),
+                         partial(_set_pair, src, n, _same_first),
+                         partial(_set_pairs_many, n, same_first))
 
 
 @entry(2, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_ekr(m: int = 2) -> Reduction:
     """Shrink the compressor two bits, then decode ranks into disjoint-free sets."""
-    src = ProblemId("weak_pigeon")
-    tgt = ProblemId("weak_ekr")
     n = _smallest_size(2, m, lambda n: binomial(2 * n, n) >= 1 << (m + 1))
+    # C(2n, n) is never a power of two for n >= 2, so alpha >= m + 2
     alpha = ceil_log2(binomial(2 * n, n))
-    if alpha < m + 2:
-        raise CapabilityError("compression chain needs two spare rank bits")
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        shrunk = shrink_chain(inst.circuit, alpha, alpha - 2)
-        cp = Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(shrunk, 2))
-        return ProblemInstance(tgt, n, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, **_shrunk_pullback(src, alpha, alpha - 2),
-    )
+    return _shrunk_entry(ProblemId("weak_ekr"), m, n, alpha, alpha - 2,
+                         lambda c: Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(c, 2)))
 
 
 @entry(3, forbidden=("i", "iii"))
 def _build_pigeon_to_ekr(m: int = 2) -> Reduction:
     """Embed the map below the avoiding-first-element rank threshold."""
-    src = ProblemId("pigeon")
-    tgt = ProblemId("ekr")
     n = _smallest_size(2, m, lambda n: binomial(2 * n - 1, n - 1) > 1 << m)
     rank_w = ceil_log2(binomial(2 * n - 1, n - 1))
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        guarded = GuardPrefix(embed(inst.circuit, rank_w), 1 << m)
-        cp = Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(guarded, 1))
-        return ProblemInstance(tgt, n, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
-    )
+    return _guarded_entry(ProblemId("ekr"), m, n, rank_w,
+                          lambda c: Compose(Builtin("cover_decode", k=n, m=2 * n), PadLeft(c, 1)),
+                          "iv")
 
 
 @entry(4)
 def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
     """Cover ranks with complement folding; identity off the rank range."""
     src = ProblemId("ekr")
-    tgt = ProblemId("pigeon")
-    thr = binomial(2 * n - 1, n - 1)
-    rank_w = ceil_log2(thr)
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        ranked = _dispatch_by_first_bit(inst.circuit, 2 * n)
-        cp = Piecewise((Case(ranked, 0, thr), Case(identity(rank_w), 0, 1 << rank_w)))
-        return ProblemInstance(tgt, rank_w, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=rank_w,
-        transform=transform,
-        translate=_below_identity(thr, partial(_lone_set, src, n),
-                                  partial(_set_pair, src, n, _same_first)),
-    )
+    return _identity_above(src, n, binomial(2 * n - 1, n - 1),
+                           lambda c: _dispatch_by_first_bit(c, 2 * n),
+                           partial(_lone_set, src, n), partial(_set_pair, src, n, _same_first))
 
 
 # ---------------------------------------------------------------------------
@@ -664,52 +660,35 @@ def _build_ekr_to_pigeon(n: int = 2) -> Reduction:
 @entry(5, forbidden=("i", "iii"))
 def _build_weak_pigeon_to_weak_gekr(m: int = 2, k: int = 3) -> Reduction:
     """Shift shrunk ranks into the top band whose sets share the first element."""
-    src = ProblemId("weak_pigeon")
     tgt = ProblemId("weak_gekr", k=k)
     a = ceil_log2(k)
-    n = _smallest_size(2, m, lambda n: binomial(k * n, n) >= 1 << (m + 1)
-                       and ceil_log2(binomial(k * n, n)) >= m + a + 1)
+    n = _smallest_size(2, m, lambda n: ceil_log2(binomial(k * n, n)) >= m + a + 1)
     total = binomial(k * n, n)
     alpha = ceil_log2(total)
     gamma = ceil_log2(binomial(k * n - 1, n - 1))
     t = total - (1 << (alpha - 1 - a))
 
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        shrunk = shrink_chain(inst.circuit, gamma + 1, alpha - 1 - a)
+    def finish(shrunk: Circuit) -> Circuit:
         shifted = Compose(ConstOp("add", BitString(alpha, t)), PadLeft(shrunk, a + 1))
-        cp = Compose(Builtin("cover_decode", k=n, m=k * n), shifted)
-        return ProblemInstance(tgt, n, cp)
+        return Compose(Builtin("cover_decode", k=n, m=k * n), shifted)
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, **_shrunk_pullback(src, gamma + 1, alpha - 1 - a),
-    )
+    return _shrunk_entry(tgt, m, n, gamma + 1, alpha - 1 - a, finish)
 
 
 @entry(6)
 def _build_weak_gekr_to_weak_pigeon(n: int = 2, k: int = 3) -> Reduction:
     """Classify sets by their partition class; distinct blocks of one class are disjoint."""
     src = ProblemId("weak_gekr", k=k)
-    tgt = ProblemId("weak_pigeon")
     gamma = ceil_log2(binomial(k * n - 1, n - 1))
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = Compose(Builtin("baranyai_class", k=k, n=n), inst.circuit)
-        return ProblemInstance(tgt, gamma, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=gamma,
-        transform=transform, **_pair_pullback(partial(_set_pair, src, n, operator.eq),
-                                              partial(_set_pairs_many, n, operator.eq)),
-    )
+    return _ranked_pairs(src, ProblemId("weak_pigeon"), n, gamma,
+                         lambda c: Compose(Builtin("baranyai_class", k=k, n=n), c),
+                         partial(_set_pair, src, n, operator.eq),
+                         partial(_set_pairs_many, n, operator.eq))
 
 
 @entry(7, forbidden=("i", "iii"))
 def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
     """Reflect the map onto top ranks so every image contains the first element."""
-    src = ProblemId("pigeon")
     tgt = ProblemId("gekr", k=k)
     n = _smallest_size(2, m, lambda n: binomial(k * n - 1, n - 1) >= 1 << m)
     gamma = ceil_log2(binomial(k * n - 1, n - 1))
@@ -717,42 +696,23 @@ def _build_pigeon_to_gekr(m: int = 2, k: int = 3) -> Reduction:
     alpha = ceil_log2(total)
     top = total - 1
 
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        guarded = GuardPrefix(embed(inst.circuit, gamma), 1 << m)
+    def finish(guarded: Circuit) -> Circuit:
         # rank = top - v, computed as ((~padded) + (top + 1)) mod 2^alpha
         padded = PadLeft(guarded, alpha - gamma)
         flipped = Compose(not_all(alpha), padded)
         ranked = Compose(ConstOp("add", BitString(alpha, (top + 1) % (1 << alpha))), flipped)
-        cp = Compose(Builtin("cover_decode", k=n, m=k * n), ranked)
-        return ProblemInstance(tgt, n, cp)
+        return Compose(Builtin("cover_decode", k=n, m=k * n), ranked)
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, translate=_guarded_map_pullback(src, m, "iv"),
-    )
+    return _guarded_entry(tgt, m, n, gamma, finish, "iv")
 
 
 @entry(8)
 def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
     """Partition classes below the class count; class zero is the canonical partition."""
     src = ProblemId("gekr", k=k)
-    tgt = ProblemId("pigeon")
-    thr = binomial(k * n - 1, n - 1)
-    gamma = ceil_log2(thr)
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        classed = Compose(Builtin("baranyai_class", k=k, n=n), inst.circuit)
-        cp = Piecewise((Case(classed, 0, thr), Case(identity(gamma), 0, 1 << gamma)))
-        return ProblemInstance(tgt, gamma, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=gamma,
-        transform=transform,
-        translate=_below_identity(thr, partial(_lone_set, src, n),
-                                  partial(_set_pair, src, n, operator.eq)),
-    )
+    return _identity_above(src, n, binomial(k * n - 1, n - 1),
+                           lambda c: Compose(Builtin("baranyai_class", k=k, n=n), c),
+                           partial(_lone_set, src, n), partial(_set_pair, src, n, operator.eq))
 
 
 # ---------------------------------------------------------------------------
@@ -763,38 +723,24 @@ def _build_gekr_to_pigeon(n: int = 2, k: int = 3) -> Reduction:
 def _build_weak_ekr_to_weak_sperner(n: int = 2) -> Reduction:
     """Double the domain; the flag bit selects the complemented copy."""
     src = ProblemId("weak_ekr")
-    tgt = ProblemId("weak_sperner")
     alpha = ceil_log2(binomial(2 * n, n))
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        return ProblemInstance(tgt, n, _doubled_domain(inst.circuit, n, alpha))
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=n,
-        transform=transform, **_pair_pullback(partial(_doubled_pair, src, n, alpha),
-                                              partial(_doubled_pairs_many, n)),
-    )
+    return _ranked_pairs(src, ProblemId("weak_sperner"), n, n,
+                         lambda c: _doubled_domain(c, n, alpha),
+                         partial(_doubled_pair, src, n, alpha), partial(_doubled_pairs_many, n))
 
 
 @entry(10)
 def _build_weak_sperner_to_weak_pigeon(n: int = 2) -> Reduction:
     """Rank the symmetric-chain representative; same chain yields containment."""
     src = ProblemId("weak_sperner")
-    tgt = ProblemId("weak_pigeon")
     alpha = ceil_log2(binomial(2 * n, n))
 
-    def transform(inst: ProblemInstance) -> ProblemInstance:
+    def rank(c: Circuit) -> Circuit:
         rep = Builtin("chain_rep", n=n)
-        cp = Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, inst.circuit))
-        return ProblemInstance(tgt, alpha, cp)
+        return Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, c))
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=alpha,
-        transform=transform, **_pair_pullback(partial(_chain_pair, src, catalan_factorize),
-                                              _chain_pairs_many),
-    )
+    return _ranked_pairs(src, ProblemId("weak_pigeon"), n, alpha, rank,
+                         partial(_chain_pair, src, catalan_factorize), _chain_pairs_many)
 
 
 @entry(11)
@@ -828,28 +774,19 @@ def _build_ekr_to_sperner(n: int = 2) -> Reduction:
 def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
     """Conjugated chain representative; zero rank forces the bottom extremal set."""
     src = ProblemId("sperner")
-    tgt = ProblemId("pigeon")
-    thr = binomial(2 * n, n)
-    w = ceil_log2(thr)
 
-    def transform(inst: ProblemInstance) -> ProblemInstance:
+    def rank(c: Circuit) -> Circuit:
         sigma = swap_halves(2 * n)
         rep = Compose(sigma, Compose(Builtin("chain_rep", n=n), sigma))
-        ranked = Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, inst.circuit))
-        cp = Piecewise((Case(ranked, 0, thr), Case(identity(w), 0, 1 << w)))
-        return ProblemInstance(tgt, w, cp)
+        return Compose(Builtin("cover_encode", k=n, m=2 * n), Compose(rep, c))
 
     def conj_factor(v: BitString):
         h1, h2 = _halves(v)
         return catalan_factorize(h2.concat(h1))
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=w,
-        transform=transform,
-        translate=_below_identity(thr, lambda c, x: make_solution(src, "ii", x),
-                                  partial(_chain_pair, src, conj_factor)),
-    )
+    return _identity_above(src, n, binomial(2 * n, n), rank,
+                           lambda c, x: make_solution(src, "ii", x),
+                           partial(_chain_pair, src, conj_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -860,78 +797,41 @@ def _build_sperner_to_pigeon(n: int = 2) -> Reduction:
 def _build_weak_cayley_to_weak_pigeon(n: int = 3) -> Reduction:
     """Rank edge maps through the tree codec; non-trees clamp to rank zero."""
     src = ProblemId("weak_cayley")
-    tgt = ProblemId("weak_pigeon")
-    beta = prufer_width(n)
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        cp = Compose(Builtin("prufer_encode", n=n), inst.circuit)
-        return ProblemInstance(tgt, beta, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=beta,
-        transform=transform, **_pair_pullback(partial(_tree_pair, src, n),
-                                              partial(_tree_pairs_many, n)),
-    )
+    return _ranked_pairs(src, ProblemId("weak_pigeon"), n, prufer_width(n),
+                         lambda c: Compose(Builtin("prufer_encode", n=n), c),
+                         partial(_tree_pair, src, n), partial(_tree_pairs_many, n))
 
 
 @entry(14, forbidden=("i",))
 def _build_weak_pigeon_to_weak_cayley(m: int = 2) -> Reduction:
     """Shrink one bit and decode low tree ranks; images are always trees."""
-    src = ProblemId("weak_pigeon")
-    tgt = ProblemId("weak_cayley")
     n = _smallest_size(3, m, lambda n: tree_count(n) >= 1 << (m + 1))
     beta = prufer_width(n)
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        shrunk = shrink_chain(inst.circuit, beta + 1, beta - 1)
-        cp = Compose(Builtin("prufer_decode", n=n), PadLeft(shrunk, 1))
-        return ProblemInstance(tgt, n, cp)
-
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, **_shrunk_pullback(src, beta + 1, beta - 1),
-    )
+    return _shrunk_entry(ProblemId("weak_cayley"), m, n, beta + 1, beta - 1,
+                         lambda c: Compose(Builtin("prufer_decode", n=n), PadLeft(c, 1)))
 
 
 @entry(15, forbidden=("i",))
 def _build_pigeon_to_cayley(m: int = 2) -> Reduction:
     """Decode guarded ranks as trees; the overflow band pins the star tree."""
-    src = ProblemId("pigeon")
-    tgt = ProblemId("cayley")
     n = _smallest_size(3, m, lambda n: tree_count(n) >= 1 << m)
     thr = tree_count(n)
     beta = prufer_width(n)
 
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        guarded = GuardPrefix(embed(inst.circuit, beta), 1 << m)
+    def finish(guarded: Circuit) -> Circuit:
         decode = Compose(Builtin("prufer_decode", n=n), guarded)
-        cp = Piecewise((
+        return Piecewise((
             Case(decode, 0, thr),
             Case(const_circuit(star_tree(n), in_width=beta), 0, 1 << beta),
         ))
-        return ProblemInstance(tgt, n, cp)
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=m, target_n=n,
-        transform=transform, translate=_guarded_map_pullback(src, m, "iii", thr),
-    )
+    return _guarded_entry(ProblemId("cayley"), m, n, beta, finish, "iii", thr)
 
 
 @entry(16)
 def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
     """Tree ranks below the tree count; rank zero names the star tree."""
     src = ProblemId("cayley")
-    tgt = ProblemId("pigeon")
-    thr = tree_count(n)
-    beta = prufer_width(n)
-
-    def transform(inst: ProblemInstance) -> ProblemInstance:
-        ranked = Compose(Builtin("prufer_encode", n=n), inst.circuit)
-        cp = Piecewise((Case(ranked, 0, thr), Case(identity(beta), 0, 1 << beta)))
-        return ProblemInstance(tgt, beta, cp)
 
     def zero(c: Circuit, x: BitString) -> Solution:
         sx = c.eval(x)
@@ -941,11 +841,9 @@ def _build_cayley_to_pigeon(n: int = 3) -> Reduction:
             raise IntegrityError("tree off the zero rank mapped to zero")
         return make_solution(src, "iii", x)
 
-    return Reduction(
-        source=src, target=tgt,
-        source_n=n, target_n=beta,
-        transform=transform, translate=_below_identity(thr, zero, partial(_tree_pair, src, n)),
-    )
+    return _identity_above(src, n, tree_count(n),
+                           lambda c: Compose(Builtin("prufer_encode", n=n), c),
+                           zero, partial(_tree_pair, src, n))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 MAX_PARALLELISM = 64
+FUZZ_TABLE_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -181,13 +182,13 @@ def _fold_circuit(w_in: int, w_out: int) -> Circuit:
 
 
 def fuzz_instance(pid: ProblemId, n: int, seed: int) -> ProblemInstance:
-    """Seeded random instance; inputs wider than the table cap are XOR-folded
-    onto a random 16-bit-input table so generation stays cheap."""
+    """Seeded random instance; inputs wider than FUZZ_TABLE_WIDTH are XOR-folded
+    onto a random table that wide so generation stays cheap."""
     in_w, out_w = circuit_shape(pid, n)
-    if in_w <= 16:
+    if in_w <= FUZZ_TABLE_WIDTH:
         return gen_random_instance(pid, n, seed)
     rng = seeded_rng(seed)
-    circ = Compose(random_table(rng, 16, out_w), _fold_circuit(in_w, 16))
+    circ = Compose(random_table(rng, FUZZ_TABLE_WIDTH, out_w), _fold_circuit(in_w, FUZZ_TABLE_WIDTH))
     return ProblemInstance(pid, n, circ, *random_aux(pid, n, rng))
 
 

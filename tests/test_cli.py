@@ -13,14 +13,16 @@ import time
 import pytest
 
 import tfnpkit.solvers as solvers
-from tfnpkit.cli import _build_parser, main
+from tfnpkit.cli import _build_parser, _entry_params, main
 from tfnpkit.numerics import BitString
 from tfnpkit.problems import (
+    ProblemId,
     instance_from_text,
     solution_from_text,
     verify,
 )
-from tfnpkit.solvers import coloring_to_text, random_coloring
+from tfnpkit.reductions import ENTRIES, build_entry
+from tfnpkit.solvers import coloring_to_text, fuzz_instance, random_coloring
 
 
 def run(capsys, *argv):
@@ -239,6 +241,37 @@ def test_reduce_and_pullback_accept_the_registry_index(capsys, tmp_path, index, 
         code, out, err = run(capsys, "pullback", "--name", index, "--inst", str(src),
                              "--sol", str(tmp_path / f"tsol-{name}.txt"))
         assert code == 2 and f"unknown reduction {index}" in err and not out
+
+
+# sources whose k or r is not the entry's default, and the builder
+# parameters each must carry over to
+NON_DEFAULT_SOURCES = [
+    (6, ProblemId("weak_gekr", k=4), {"k": 4}),
+    (8, ProblemId("gekr", k=4), {"k": 4}),
+    (26, ProblemId("weak_turan", r=4), {"r": 4}),
+    (25, ProblemId("weak_turan", r=3), {"r1": 3}),
+]
+
+
+def test_entry_params_build_what_build_entry_builds():
+    """The builder parameters that ``reduce`` and ``pullback`` read off a
+    source instance: on the seed-0 source of every entry they build the
+    reduction ``build_entry`` builds, and a non-default k or r carries over."""
+
+    def shape(red):
+        return red.source, red.source_n, red.target, red.target_n
+
+    for row in ENTRIES.values():
+        red = build_entry(row.index)
+        inst = fuzz_instance(red.source, red.source_n, 0)
+        assert shape(build_entry(row.index, **_entry_params(row, inst, {}))) == shape(red), row.index
+    for idx, pid, carried in NON_DEFAULT_SOURCES:
+        row = ENTRIES[idx]
+        inst = fuzz_instance(pid, row.defaults["n"], 0)
+        params = _entry_params(row, inst, {})
+        assert params == {**row.defaults, **carried}, idx
+        red = build_entry(idx, **params)
+        assert (red.source, red.source_n) == (pid, inst.n), idx
 
 
 def test_pullback_rejects_invalid_target_solution(capsys, tmp_path):

@@ -172,6 +172,13 @@ def test_exact_counts_stop_at_the_counting_cap():
             count(MAX_COUNT_ARG + 1)
 
 
+def test_tree_counts_need_two_vertices():
+    for n in (0, 1):
+        for count in (tree_count, prufer_width):
+            with pytest.raises(DomainError, match="trees need at least 2 vertices"):
+                count(n)
+
+
 def test_edge_bitmap_round_trip():
     n = 5
     for i, j in combinations(range(1, n + 1), 2):

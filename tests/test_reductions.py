@@ -2,13 +2,14 @@
 pull-back plumbing.  The heavy exhaustive sweep lives in the acceptance suite;
 here each entry gets a few seeds so failures localize quickly."""
 
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tfnpkit.circuit import Table, eval_all
-from tfnpkit.errors import CapabilityError, DomainError
+from tfnpkit.errors import CapabilityError, DomainError, IntegrityError
 from tfnpkit.numerics import bits_of
 from tfnpkit.problems import (
     ProblemId,
@@ -321,3 +322,30 @@ def test_set_pair_pullbacks_on_planted_classes(idx):
             cells[sol.tag, back.tag] += 1
     assert {src for _, src in cells} == set(red.source.spec.clauses)
     assert dict(cells) == PLANTED_CELLS[idx]
+
+
+# target solutions that the images of entries 2, 3 and 4 cannot produce, and
+# how each entry's translate refuses them
+REFUSALS = [
+    (2, "i", (0,), IntegrityError, "the compressed image avoids type i"),
+    (2, "ii", (5, 5), DomainError, "pull-back needs distinct inputs"),
+    (3, "iv", (7,), IntegrityError, "zero-rank witness off the zeros of the guarded map"),
+    (3, "ii", (1, 7), IntegrityError, "collision touched the guarded region"),
+    (3, "i", (0,), IntegrityError, "the guarded map's image avoids type i"),
+    (4, "i", (3,), IntegrityError, "identity region mapped to zero"),
+    (4, "ii", (0, 3), IntegrityError, "collision touched the identity region"),
+]
+
+
+@pytest.mark.parametrize("idx, tag, values, error, message", REFUSALS)
+def test_family_translate_refuses_what_the_image_avoids(idx, tag, values, error, message):
+    """The refusal branches of the shrink-chain (entry 2), guarded-map (3)
+    and identity-above (4) pull-backs, on the seed-0 fuzz source.  These call
+    ``translate`` directly: ``pullback`` rejects such a target solution
+    before translating it."""
+    red = build_entry(idx)
+    inst = fuzz_instance(red.source, red.source_n, 0)
+    w, _ = circuit_shape(red.target, red.target_n)
+    sol = make_solution(red.target, tag, *(bits_of(v, w) for v in values))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        red.translate(inst, sol)
