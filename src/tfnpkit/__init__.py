@@ -1,10 +1,5 @@
-"""Combinatorial codecs, total-search-problem verifiers, and reductions.
+"""Combinatorial codecs, total-search-problem verifiers, and reductions."""
 
-Importing the package registers the codec builtin blocks with the circuit
-layer, so serialized circuits mentioning BLOCK nodes parse out of the box.
-"""
-
-from . import encodings as _encodings  # noqa: F401  (registers builtin blocks)
 from .numerics import BitString
 
 __all__ = ["BitString"]

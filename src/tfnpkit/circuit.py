@@ -1,7 +1,7 @@
 """Total boolean circuits over fixed-width bit vectors.
 
-The IR has two leaf families (gate networks and truth tables, plus named
-builtin blocks registered by the codec layer) and a handful of combinators:
+The IR has two leaf families (gate networks and truth tables, plus the named
+codec blocks of ``encodings.BLOCKS``) and a handful of combinators:
 composition, parallel application on a split input, output slicing, zero
 padding, a value-threshold guard, constant add/sub/xor, and a first-match
 piecewise dispatch.  Evaluation is total: every node produces an output for
@@ -29,9 +29,13 @@ Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
 header followed by one node.  ``to_text`` writes leaf content lines (table
 rows, netlist gates) at the node's own indent and combinator children two
 spaces deeper.  ``COMPOSE`` children are listed outer first, i.e.
-``Compose(f, g)`` with output ``f(g(x))``.  ``from_text`` skips blank lines
-anywhere and checks the indent of node and piecewise case lines only; table
-rows and netlist gates may sit at any indent, and a row may end in blanks.
+``Compose(f, g)`` with output ``f(g(x))``.  Each word is written once, in
+a table that printer and parser both read: ``_COMBINATORS`` for the five
+combinators, ``GateNet._ARITY`` for the gate ops (a gate line carries
+exactly its op's operands) and ``encodings.BLOCKS`` for the codec blocks.
+``from_text`` skips blank lines anywhere and checks the indent of node and
+piecewise case lines only; table rows and netlist gates may sit at any
+indent, and a row may end in blanks.
 Table rows move in bulk: ``to_text`` prints them from one uint8 character
 array, and ``from_text`` checks and converts them the same way when they are
 all spaces then the digits, of one length.  Other rows are read one at a
@@ -42,10 +46,11 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .encodings import BLOCKS
 from .errors import CapabilityError, DomainError, ParseError
 from .numerics import BitString, bits_of
 
@@ -214,7 +219,7 @@ class Table(Circuit):
 
 @dataclass(frozen=True)
 class Gate:
-    op: str  # INPUT | CONST | NOT | AND | OR | XOR
+    op: str  # a key of GateNet._ARITY
     a: int = 0
     b: int = 0
 
@@ -222,6 +227,7 @@ class Gate:
 class GateNet(Circuit):
     """DAG of boolean gates; gates may only reference earlier gates."""
 
+    # op -> how many earlier gates it reads; INPUT and CONST read a number instead
     _ARITY = {"INPUT": 0, "CONST": 0, "NOT": 1, "AND": 2, "OR": 2, "XOR": 2}
 
     def __init__(self, in_width: int, gates: Sequence[Gate], outputs: Sequence[int]):
@@ -234,10 +240,9 @@ class GateNet(Circuit):
                 raise DomainError(f"gate {i} reads input bit {g.a} of {in_width}")
             if g.op == "CONST" and g.a not in (0, 1):
                 raise DomainError(f"gate {i} CONST must be 0 or 1")
-            if g.op in ("NOT", "AND", "OR", "XOR") and not 0 <= g.a < i:
-                raise DomainError(f"gate {i} references gate {g.a}")
-            if self._ARITY[g.op] == 2 and not 0 <= g.b < i:
-                raise DomainError(f"gate {i} references gate {g.b}")
+            for ref in (g.a, g.b)[:self._ARITY[g.op]]:
+                if not 0 <= ref < i:
+                    raise DomainError(f"gate {i} references gate {ref}")
         for o in outputs:
             if not 0 <= o < len(gates):
                 raise DomainError(f"output references gate {o}")
@@ -298,20 +303,9 @@ class GateNet(Circuit):
         return out.astype(np.int64)
 
 
-# Builtin blocks are registered by the encodings module at import time.
-_BUILTIN_FACTORIES: dict[str, Callable[..., tuple[
-    int, int, Callable[[int], int], Callable[[np.ndarray], np.ndarray] | None]]] = {}
-
-
-def register_builtin(name: str, factory) -> None:
-    """factory(**params) -> (in_width, out_width, fn, many): fn maps one value
-    to its output, and many, when not None, maps an int64 array of values to
-    the int64 array of their outputs, as fn would value by value."""
-    _BUILTIN_FACTORIES[name] = factory
-
-
 class Builtin(Circuit):
-    """Named codec block with fixed parameters, evaluated by a host function.
+    """Named codec block of ``encodings.BLOCKS`` with fixed parameters,
+    evaluated by a host function.
 
     Partial hosts (decoders) only raise if an out-of-range value is actually
     queried.  Vector evaluation runs the block's array kernel on the distinct
@@ -322,11 +316,11 @@ class Builtin(Circuit):
     """
 
     def __init__(self, name: str, **params: int):
-        if name not in _BUILTIN_FACTORIES:
+        if name not in BLOCKS:
             raise DomainError(f"unknown builtin block {name!r}")
         self.name = name
         self.params = dict(sorted(params.items()))
-        self.in_width, self.out_width, self._fn, self._many = _BUILTIN_FACTORIES[name](**params)
+        self.in_width, self.out_width, self._fn, self._many = BLOCKS[name](**params)
 
     def _key(self):
         return (self.name, tuple(self.params.items()))
@@ -787,7 +781,7 @@ def shrink_chain_pullback(
 
 
 def _params_str(d: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in d.items())
+    return "".join(f" {k}={v}" for k, v in d.items())
 
 
 def _rows_text(c: Table, indent: int) -> str:
@@ -806,35 +800,38 @@ def _rows_text(c: Table, indent: int) -> str:
     return chars.tobytes()[:-1].decode("ascii")
 
 
+# combinator word -> (class, number of children, integer attributes): the
+# children, then the attributes, in the order the constructor takes them
+_COMBINATORS = {
+    "COMPOSE": (Compose, 2, ()),
+    "PARALLEL": (Parallel, 2, ()),
+    "SLICE": (Slice, 1, ("start", "stop")),
+    "PAD": (PadLeft, 1, ("bits",)),
+    "GUARD": (GuardPrefix, 1, ("t",)),
+}
+_COMBINATOR_WORDS = {cls: word for word, (cls, _, _) in _COMBINATORS.items()}
+_CONST_WORDS = {op.upper() + "C": op for op in ConstOp.OPS}
+
+
 def _node_lines(c: Circuit, indent: int) -> list[str]:
     """Text lines of a node; a table's rows come as one multi-line string."""
     pad = " " * indent
-    kid = indent + 2
+    word = _COMBINATOR_WORDS.get(type(c))
+    if word is not None:
+        attrs = _params_str({k: getattr(c, k) for k in _COMBINATORS[word][2]})
+        return [pad + word + attrs] + [ln for kid in c._children() for ln in _node_lines(kid, indent + 2)]
     if isinstance(c, Table):
         return [f"{pad}TABLE in={c.in_width} out={c.out_width}", _rows_text(c, indent)]
     if isinstance(c, GateNet):
         lines = [f"{pad}NETLIST in={c.in_width}"]
         for i, g in enumerate(c.gates):
-            if g.op in ("INPUT", "CONST"):
-                lines.append(f"{pad}g{i} = {g.op} {g.a}")
-            elif g.op == "NOT":
-                lines.append(f"{pad}g{i} = NOT g{g.a}")
-            else:
-                lines.append(f"{pad}g{i} = {g.op} g{g.a} g{g.b}")
+            # a gate's operands: its earlier gates, or for INPUT and CONST one number
+            args = (f"g{g.a}", f"g{g.b}")[:GateNet._ARITY[g.op]] or (g.a,)
+            lines.append(f"{pad}g{i} = {g.op} " + " ".join(map(str, args)))
         lines.append(pad + "OUTPUT " + " ".join(f"g{o}" for o in c.outputs))
         return lines
     if isinstance(c, Builtin):
-        return [f"{pad}BLOCK {c.name} {_params_str(c.params)}".rstrip()]
-    if isinstance(c, Compose):
-        return [f"{pad}COMPOSE"] + _node_lines(c.f, kid) + _node_lines(c.g, kid)
-    if isinstance(c, Parallel):
-        return [f"{pad}PARALLEL"] + _node_lines(c.f, kid) + _node_lines(c.g, kid)
-    if isinstance(c, Slice):
-        return [f"{pad}SLICE start={c.start} stop={c.stop}"] + _node_lines(c.inner, kid)
-    if isinstance(c, PadLeft):
-        return [f"{pad}PAD bits={c.bits}"] + _node_lines(c.inner, kid)
-    if isinstance(c, GuardPrefix):
-        return [f"{pad}GUARD t={c.t}"] + _node_lines(c.inner, kid)
+        return [f"{pad}BLOCK {c.name}{_params_str(c.params)}"]
     if isinstance(c, ConstOp):
         return [f"{pad}{c.op.upper()}C c={c.c}"]
     if isinstance(c, Piecewise):
@@ -859,10 +856,16 @@ def to_text(c: Circuit) -> str:
     return "\n".join([f"CIRCUIT in={c.in_width} out={c.out_width}"] + _node_lines(c, 0)) + "\n"
 
 
-_NODE_WORDS = {
-    "TABLE", "NETLIST", "BLOCK", "COMPOSE", "PARALLEL", "SLICE", "PAD",
-    "GUARD", "ADDC", "SUBC", "XORC", "PIECEWISE", "CASE", "CASEPRED", "ELSE",
-}
+_NODE_WORDS = {"TABLE", "NETLIST", "BLOCK", "PIECEWISE", "CASE", "CASEPRED", "ELSE",
+               *_COMBINATORS, *_CONST_WORDS}
+
+
+def _build_error(e: KeyError | ValueError, lineno: int) -> ParseError:
+    """What an error raised while building the node or case on line lineno
+    is reported as."""
+    if isinstance(e, KeyError):
+        return ParseError(f"missing or unknown attribute {e}", lineno)
+    return ParseError(str(e), lineno)
 
 
 class _Parser:
@@ -912,7 +915,7 @@ class _Parser:
             rows.append(int(row, 2))
         return rows
 
-    def parse_node(self, indent: int, default_in=None, default_out=None) -> Circuit:
+    def parse_node(self, indent: int, default_in: int = -1, default_out: int = -1) -> Circuit:
         item = self.peek()
         if item is None:
             raise ParseError("expected a circuit node")
@@ -931,74 +934,61 @@ class _Parser:
             return self._build(word, attrs, indent, lineno, default_in, default_out)
         except ParseError:
             raise
-        except (DomainError, ValueError) as e:
-            raise ParseError(str(e), lineno) from e
-        except KeyError as e:
-            raise ParseError(f"missing or unknown attribute {e}", lineno) from e
+        except (KeyError, ValueError) as e:
+            raise _build_error(e, lineno) from e
         finally:
             self.depth -= 1
 
     def _build(self, word, attrs, indent, lineno, default_in, default_out):
         kid = indent + 2
         if word == "TABLE":
-            in_w = int(attrs.get("in", default_in if default_in is not None else -1))
-            out_w = int(attrs.get("out", default_out if default_out is not None else -1))
+            in_w = int(attrs.get("in", default_in))
+            out_w = int(attrs.get("out", default_out))
             if in_w < 0 or out_w < 0:
                 raise ParseError("nested TABLE needs in= and out=", lineno)
             return Table(in_w, out_w, self.table_rows(1 << in_w, out_w))
         if word == "NETLIST":
-            in_w = int(attrs.get("in", default_in if default_in is not None else -1))
+            in_w = int(attrs.get("in", default_in))
             if in_w < 0:
                 raise ParseError("nested NETLIST needs in=", lineno)
             gates, ids = [], {}
+
+            def gate_ids(toks):
+                for tok in toks:
+                    if tok not in ids:
+                        raise ParseError(f"unknown gate {tok!r}", ln)
+                return [ids[tok] for tok in toks]
+
             while True:
                 ln, _, line = self.take()
                 if line.startswith("OUTPUT"):
-                    outs = []
-                    for tok in line.split()[1:]:
-                        if tok not in ids:
-                            raise ParseError(f"unknown gate {tok!r}", ln)
-                        outs.append(ids[tok])
-                    return GateNet(in_w, gates, outs)
+                    return GateNet(in_w, gates, gate_ids(line.split()[1:]))
                 m = line.split(" = ")
                 if len(m) != 2:
                     raise ParseError(f"bad netlist line {line!r}", ln)
-                name, rhs = m[0].strip(), m[1].split()
-                op = rhs[0]
-                if op in ("INPUT", "CONST"):
-                    gates.append(Gate(op, int(rhs[1])))
-                elif op == "NOT":
-                    gates.append(Gate(op, ids[rhs[1]]))
-                elif op in ("AND", "OR", "XOR"):
-                    gates.append(Gate(op, ids[rhs[1]], ids[rhs[2]]))
-                else:
+                op, *args = m[1].split()
+                arity = GateNet._ARITY.get(op)
+                if arity is None:
                     raise ParseError(f"unknown gate op {op!r}", ln)
-                ids[name] = len(gates) - 1
+                if len(args) != max(arity, 1):
+                    raise ParseError(f"bad netlist line {line!r}", ln)
+                gates.append(Gate(op, *gate_ids(args)) if arity else Gate(op, int(args[0])))
+                ids[m[0].strip()] = len(gates) - 1
         if word == "BLOCK":
             name = attrs.pop("_name")
             params = {k: int(v) for k, v in attrs.items()}
-            if name in _BUILTIN_FACTORIES:
+            if name in BLOCKS:
                 try:
-                    inspect.signature(_BUILTIN_FACTORIES[name]).bind(**params)
+                    inspect.signature(BLOCKS[name]).bind(**params)
                 except TypeError as e:
                     raise ParseError(f"block {name}: {e}", lineno) from e
             return Builtin(name, **params)
-        if word == "COMPOSE":
-            f = self.parse_node(kid)
-            g = self.parse_node(kid)
-            return Compose(f, g)
-        if word == "PARALLEL":
-            f = self.parse_node(kid)
-            g = self.parse_node(kid)
-            return Parallel(f, g)
-        if word == "SLICE":
-            return Slice(self.parse_node(kid), int(attrs["start"]), int(attrs["stop"]))
-        if word == "PAD":
-            return PadLeft(self.parse_node(kid), int(attrs["bits"]))
-        if word == "GUARD":
-            return GuardPrefix(self.parse_node(kid), int(attrs["t"]))
-        if word in ("ADDC", "SUBC", "XORC"):
-            return ConstOp(word[:3].lower(), BitString.from_str(attrs["c"]))
+        if word in _COMBINATORS:
+            cls, children, names = _COMBINATORS[word]
+            kids = [self.parse_node(kid) for _ in range(children)]
+            return cls(*kids, *(int(attrs[k]) for k in names))
+        if word in _CONST_WORDS:
+            return ConstOp(_CONST_WORDS[word], BitString.from_str(attrs["c"]))
         if word == "PIECEWISE":
             cases = []
             while True:
@@ -1011,7 +1001,10 @@ class _Parser:
                     ln, _, txt = self.take()
                     a = _parse_attrs(txt, ln)
                     branch = self.parse_node(kid + 2)
-                    cases.append(Case(branch, lo=int(a["lo"]), hi=int(a["hi"])))
+                    try:
+                        cases.append(Case(branch, lo=int(a["lo"]), hi=int(a["hi"])))
+                    except (KeyError, ValueError) as e:
+                        raise _build_error(e, ln) from e
                 elif kw == "CASEPRED":
                     self.take()
                     pred = self.parse_node(kid + 2)

@@ -2,7 +2,8 @@
 table for uniform set partitions.
 
 Every codec is a pair of host functions (encode/decode on BitStrings) and is
-also registered as a named circuit block, so instance circuits can embed it.
+also a named circuit block: ``BLOCKS`` maps each BLOCK name to its factory,
+and the circuit layer imports that table, so instance circuits can embed it.
 The cover-decode, lexpair-encode and Prüfer-decode blocks also carry a numpy
 kernel that vector evaluation runs, with the host's outputs and errors.
 Decoders are partial: ranks beyond the counted range raise OutOfRangeError,
@@ -22,13 +23,15 @@ import threading
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from . import circuit as ckt
 from .errors import CapabilityError, DomainError, IntegrityError, OutOfRangeError
 from .numerics import MAX_COUNT_ARG, BitString, binomial, bits_of, ceil_log2
+
+if TYPE_CHECKING:
+    from .circuit import Circuit
 
 # ---------------------------------------------------------------------------
 # fixed-weight subsets <-> lexicographic ranks
@@ -535,7 +538,7 @@ DOMAIN_WIDTH_CAP = 16
 
 
 def check_property_preserving(
-    enc: ckt.Circuit,
+    enc: Circuit,
     domain: Callable[[BitString], bool] | None,
     equiv: Callable[[BitString, BitString], bool],
 ) -> PropertyReport:
@@ -716,11 +719,16 @@ def _baranyai_class_block(k: int, n: int):
     return w, out, fn, None
 
 
-ckt.register_builtin("cover_encode", _cover_encode_block)
-ckt.register_builtin("cover_decode", _cover_decode_block)
-ckt.register_builtin("lexpair_encode", _lexpair_encode_block)
-ckt.register_builtin("lexpair_decode", _lexpair_decode_block)
-ckt.register_builtin("prufer_encode", _prufer_encode_block)
-ckt.register_builtin("prufer_decode", _prufer_decode_block)
-ckt.register_builtin("chain_rep", _chain_rep_block)
-ckt.register_builtin("baranyai_class", _baranyai_class_block)
+# BLOCK name -> factory(**params) -> (in_width, out_width, fn, many): fn maps
+# one value to its output, and many, when not None, maps an int64 array of
+# values to the int64 array of their outputs, as fn would value by value
+BLOCKS = {
+    "cover_encode": _cover_encode_block,
+    "cover_decode": _cover_decode_block,
+    "lexpair_encode": _lexpair_encode_block,
+    "lexpair_decode": _lexpair_decode_block,
+    "prufer_encode": _prufer_encode_block,
+    "prufer_decode": _prufer_decode_block,
+    "chain_rep": _chain_rep_block,
+    "baranyai_class": _baranyai_class_block,
+}

@@ -13,7 +13,6 @@ including every threshold side condition, and reports either
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -325,34 +324,41 @@ def _parse_kv(parts: list[str], lineno: int) -> dict[str, str]:
     return out
 
 
-# the line boundaries of str.splitlines
-_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+def _content_lines(text: str):
+    """(line number, offset, stripped line) of each non-blank line of text,
+    split and numbered as ``str.splitlines`` does.  The text is split one
+    prefix at a time, the prefix doubling, so reading the header of an
+    instance file does not split the circuit text that follows it."""
+    lineno = offset = 0
+    size = 1 << 10
+    while offset < len(text):
+        lines = text[offset:offset + size].splitlines(True)
+        if offset + size < len(text):
+            lines.pop()  # perhaps cut short, or a "\r" cut from its "\n"
+        for line in lines:
+            lineno += 1
+            if line.strip():
+                yield lineno, offset, line.strip()
+            offset += len(line)
+        size *= 2
 
 
 def instance_from_text(text: str) -> ProblemInstance:
     """Parse the header lines here and hand the text from the CIRCUIT line
     on to the circuit parser, which numbers its lines from there."""
-    pos = 0
-    lineno = 0
-    start = 0
+    content = _content_lines(text)
 
-    def next_content() -> tuple[int, str]:
-        nonlocal pos, lineno, start
-        while pos < len(text):
-            brk = _LINE_BREAK.search(text, pos)
-            start, end = pos, brk.start() if brk else len(text)
-            pos = brk.end() if brk else len(text)
-            lineno += 1
-            line = text[start:end].strip()
-            if line:
-                return lineno, line
-        raise ParseError("unexpected end of instance", lineno)
+    def next_content() -> tuple[int, int, str]:
+        item = next(content, None)
+        if item is None:
+            raise ParseError("unexpected end of instance", len(text.splitlines()))
+        return item
 
-    lineno, head = next_content()
+    lineno, _, head = next_content()
     if not head.startswith("PROBLEM "):
         raise ParseError("expected PROBLEM line", lineno)
     name = head.split()[1]
-    lineno, param = next_content()
+    lineno, _, param = next_content()
     if not param.startswith("PARAM "):
         raise ParseError("expected PARAM line", lineno)
     kv = _parse_kv(param.split()[1:], lineno)
@@ -369,7 +375,7 @@ def instance_from_text(text: str) -> ProblemInstance:
 
     abc = None
     nm = None
-    lineno, nxt = next_content()
+    lineno, start, nxt = next_content()
     while nxt.startswith("AUX "):
         kv = _parse_kv(nxt.split()[1:], lineno)
         if "a" in kv:
@@ -384,7 +390,7 @@ def instance_from_text(text: str) -> ProblemInstance:
                 raise ParseError(f"bad AUX line: {exc}", lineno) from None
         else:
             raise ParseError("AUX line needs a=/b=/c= or N=/M=", lineno)
-        lineno, nxt = next_content()
+        lineno, start, nxt = next_content()
     if not nxt.startswith("CIRCUIT"):
         raise ParseError("expected CIRCUIT block", lineno)
     circuit = circuit_from_text(text[start:], start_line=lineno)
@@ -401,10 +407,7 @@ def solution_to_text(sol: Solution) -> str:
 def solution_from_text(text: str) -> Solution:
     tag = None
     witness: list[tuple[str, BitString]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, _, line in _content_lines(text):
         if line.startswith("SOLUTION"):
             kv = _parse_kv(line.split()[1:], lineno)
             if "type" not in kv:

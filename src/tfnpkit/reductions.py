@@ -980,14 +980,14 @@ def _build_ws_collisions_to_weak_pigeon(n: int = 5) -> Reduction:
         return ProblemInstance(tgt, 3 * n, cp)
 
     def translate(inst: ProblemInstance, sol: Solution) -> Solution:
-        ones = BitString(n - 3, (1 << (n - 3)) - 1) if n > 3 else None
+        ones = BitString(n - 3, (1 << (n - 3)) - 1)
         two = BitString(2, 2)
         zero = BitString(2 * n, 0)
 
         def unpack(w: BitString) -> tuple[BitString, BitString]:
             yp = w[0:n + 3]
             zp = w[n + 3:3 * n + 1]
-            y_full = ones.concat(yp) if ones is not None else yp
+            y_full = ones.concat(yp)
             z_full = two.concat(zp)
             return y_full, z_full
 

@@ -228,14 +228,12 @@ def fuzz_soundness(name_or_index, trials: int = 100, seed: int = 0,
     (their six-witness solutions grow quadratically in the triple count);
     wider targets cap every type.
 
-    An entry whose reduction gives ``translate_many`` (1, 2, 5, 6, 9, 10,
-    13, 14, 17, 18, 19, 21, 22, 23, 26 and 27) takes the batch path: each
-    tag's target rows get one target ``check_many``, one ``translate_many``
-    and one source ``check_many`` per source tag, and each row the batch
-    rejects counts as one failure, reported through the scalar ``pullback``
-    of that row.  Every other entry, entry 20 and the set, tree and graph
-    entries 3, 4, 7, 8, 11, 12, 15, 16, 24 and 25, pulls back one
-    ``Solution`` at a time.
+    An entry whose reduction gives ``translate_many`` (the ``reductions``
+    module docstring names them) takes the batch path: each tag's target
+    rows get one target ``check_many``, one ``translate_many`` and one
+    source ``check_many`` per source tag, and each row the batch rejects
+    counts as one failure, reported through the scalar ``pullback`` of that
+    row.  Every other entry pulls back one ``Solution`` at a time.
 
     The report counts the cases run, the target solutions pulled back, the
     cases whose enumeration hit the per-type cap (``truncated_cases``) and

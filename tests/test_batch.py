@@ -4,14 +4,15 @@ per-solution ``translate``, and the battery's batch report against its
 per-solution report."""
 
 import dataclasses
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
 
+import tfnpkit.reductions as reductions
 import tfnpkit.solvers as solvers
 from tfnpkit.catalog import SPECS
-from tfnpkit.circuit import Compose, Table, eval_all, values_at
+from tfnpkit.circuit import MAX_EVAL_WIDTH, Compose, Table, const_circuit, eval_all, values_at
 from tfnpkit.errors import DomainError, IntegrityError
 from tfnpkit.numerics import BitString
 from tfnpkit.problems import (
@@ -20,11 +21,13 @@ from tfnpkit.problems import (
     circuit_shape,
     gen_random_instance,
     honest_turan_params,
+    wellformed,
 )
 from tfnpkit.reductions import apply, build_entry
 from tfnpkit.solvers import (
     SolveBudget,
     designed_instances,
+    enumerate_solutions,
     fuzz_instance,
     fuzz_soundness,
     solution_rows,
@@ -329,3 +332,124 @@ def test_values_at_never_tabulates():
     small = gen_random_instance(ProblemId("pigeon"), 3, 0).circuit
     assert values_at(small, np.arange(8)).tolist() == eval_all(small).tolist()
     assert values_at(c, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the battery's own failure branches, on a per-solution entry (4) and a batch
+# entry (22)
+
+
+def _replaced(monkeypatch, idx: int, trials: int = 1, seed: int = 0, **fields) -> dict:
+    """fuzz_soundness of entry idx with the given Reduction fields replaced."""
+    monkeypatch.setattr(solvers, "build_entry", lambda i, **kw: dataclasses.replace(
+        build_entry(i, **kw), **fields))
+    return fuzz_soundness(idx, trials=trials, seed=seed)
+
+
+def _first_target_solution(red):
+    """The first target solution of the first designed case."""
+    inst = designed_instances(red.source, red.source_n)[0]
+    return enumerate_solutions(apply(red, inst), SolveBudget(max_per_type=1))[0][0]
+
+
+def _shown(sol) -> str:
+    return f"pull-back of type {sol.tag} {tuple(str(v) for v in sol.values())}"
+
+
+@pytest.mark.parametrize("idx", (4, 22))
+def test_battery_reports_a_failed_apply_with_its_case(idx, monkeypatch):
+    red = build_entry(idx)
+
+    def transform(inst):
+        if isinstance(inst.circuit, Table):  # the seeded cases, not the designed ones
+            raise DomainError("planted transform defect")
+        return red.transform(inst)
+
+    rep = _replaced(monkeypatch, idx, trials=2, seed=3, transform=transform)
+    assert (rep["failures"], rep["ok"]) == (2, False)
+    assert rep["first_failure"] == "[seed=3] apply failed: planted transform defect"
+
+
+@pytest.mark.parametrize("idx", (4, 22))
+def test_battery_reports_a_malformed_target(idx, monkeypatch):
+    red = build_entry(idx)
+    wrong_n = red.target_n + 1
+    rep = _replaced(monkeypatch, idx, transform=lambda inst: dataclasses.replace(
+        red.transform(inst), n=wrong_n))
+    reason = wellformed(dataclasses.replace(
+        apply(red, designed_instances(red.source, red.source_n)[0]), n=wrong_n)).reason
+    assert (rep["failures"], rep["ok"], rep["solutions_checked"]) == (rep["cases"], False, 0)
+    assert rep["first_failure"] == f"[designed] target malformed: {reason}"
+
+
+@pytest.mark.parametrize("idx", (4, 22))
+def test_battery_reports_a_failed_enumeration(idx, monkeypatch):
+    red = build_entry(idx)
+    n = next(n for n in count(red.target.spec.min_n)
+             if circuit_shape(red.target, n)[0] > MAX_EVAL_WIDTH)
+    in_w, out_w = circuit_shape(red.target, n)
+    wide = ProblemInstance(red.target, n, const_circuit(BitString(out_w, 0), in_width=in_w))
+    rep = _replaced(monkeypatch, idx, transform=lambda inst: wide)
+    assert (rep["failures"], rep["ok"], rep["solutions_checked"]) == (rep["cases"], False, 0)
+    assert rep["first_failure"] == (
+        f"[designed] target enumeration failed: eval_all capped at in_width {MAX_EVAL_WIDTH}, got {in_w}")
+
+
+@pytest.mark.parametrize("idx", (4, 22))
+def test_battery_reports_a_case_without_solutions(idx):
+    rep = fuzz_soundness(idx, trials=1, seed=0, budget=SolveBudget(max_per_type=0))
+    assert (rep["failures"], rep["ok"], rep["truncated_cases"]) == (rep["cases"], False, rep["cases"])
+    assert rep["first_failure"] == "[designed] target instance has no solutions at all"
+
+
+@pytest.mark.parametrize("idx, tag", [(4, "ii"), (22, "iii")])
+def test_battery_reports_a_forbidden_target_tag(idx, tag, monkeypatch):
+    clean = fuzz_soundness(idx, trials=1, seed=0)
+    found = sum(n for (tgt, _), n in clean["per_tag"].items() if tgt == tag)
+    assert found > 0
+    monkeypatch.setattr(solvers, "lookup", lambda key: dataclasses.replace(
+        reductions.lookup(key), forbidden=(tag,)))
+    rep = fuzz_soundness(idx, trials=1, seed=0)
+    assert (rep["failures"], rep["ok"]) == (found, False)
+    assert rep["solutions_checked"] == clean["solutions_checked"] - found
+    assert rep["first_failure"] == f"[designed] type-{tag} target solution violates the image structure"
+
+
+@pytest.mark.parametrize("idx", (4, 22))
+def test_battery_reports_a_failed_pull_back(idx, monkeypatch):
+    red = build_entry(idx)
+
+    def translate(inst, sol):
+        raise IntegrityError("planted defect")
+
+    # the batch entry rejects every row, so each is reported through the scalar pull-back
+    rep = _replaced(monkeypatch, idx, translate=translate,
+                    translate_many=red.translate_many and (lambda inst, tag, rows: []))
+    assert (rep["failures"], rep["ok"], rep["per_tag"]) == (rep["solutions_checked"], False, {})
+    assert rep["failures"] > 0
+    first = _shown(_first_target_solution(red))
+    assert rep["first_failure"] == f"[designed] {first}: {red.name}: planted defect"
+
+
+@pytest.mark.parametrize("sabotage", ["unknown source tag", "rows one column wide"])
+def test_batch_drops_a_group_it_cannot_check(sabotage, monkeypatch):
+    """The first translated row of each batch goes in a group of its own that
+    the battery cannot check: that row fails and every other row still
+    pulls back."""
+    red = build_entry(22)
+    calls = []
+
+    def translate_many(inst, tag, rows):
+        (src_tag, src_rows, at), *rest = red.translate_many(inst, tag, rows)
+        calls.append(tag)
+        odd = ("zz", src_rows[:1]) if sabotage == "unknown source tag" else (src_tag, src_rows[:1, :1])
+        return [(*odd, at[:1]), (src_tag, src_rows[1:], at[1:]), *rest]
+
+    clean = fuzz_soundness(22, trials=1, seed=0)
+    rep = _replaced(monkeypatch, 22, translate_many=translate_many)
+    assert rep["solutions_checked"] == clean["solutions_checked"]
+    assert (rep["failures"], rep["ok"]) == (len(calls), False) and len(calls) >= rep["cases"]
+    assert sum(rep["per_tag"].values()) == rep["solutions_checked"] - len(calls)
+    first = _shown(_first_target_solution(red))
+    assert rep["first_failure"] == (
+        f"[designed] {first}: the batch check rejects what the scalar pull-back accepts")

@@ -349,3 +349,47 @@ def test_family_translate_refuses_what_the_image_avoids(idx, tag, values, error,
     sol = make_solution(red.target, tag, *(bits_of(v, w) for v in values))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         red.translate(inst, sol)
+
+
+# target solutions that the per-solution entries 11, 16, 17, 24 and 25 refuse,
+# as witness values on the seed-0 fuzz source
+PER_SOLUTION_REFUSALS = [
+    (11, "ii", (6,), "witness outside the doubled domain"),
+    (16, "i", (1,), "tree off the zero rank mapped to zero"),
+    (17, "iv", (1, 2, 3, 1, 2, 3), "matching triangles share every edge"),
+    (24, "iv", (0,), "consecutive pair off the zero preimage"),
+    (24, "iii", (0, 1), "edge collision without a map collision"),
+    (24, "ii", (0,), "the edge map is bipartite and increasing, type ii cannot occur"),
+    (25, "i", (0,) * 6, "expected 3 edges inside the kept corner, found 6"),
+]
+
+
+@pytest.mark.parametrize("idx, tag, values, message", PER_SOLUTION_REFUSALS)
+def test_per_solution_translate_refuses_what_the_image_avoids(idx, tag, values, message):
+    red = build_entry(idx)
+    inst = fuzz_instance(red.source, red.source_n, 0)
+    w = red.target.spec.witness_width(red.target_n, circuit_shape(red.target, red.target_n)[0])
+    sol = make_solution(red.target, tag, *(bits_of(v, w) for v in values))
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        red.translate(inst, sol)
+
+
+@pytest.mark.parametrize("m, cells", [
+    (3, {("iii", "ii"): 252, ("iv", "i"): 29}),
+    (5, {("iii", "ii"): 2576, ("iv", "i"): 55}),
+])
+def test_pigeon_to_mantel_pulls_back_every_solution_at_odd_m(m, cells):
+    """At odd m, entry 24 lifts the source map to m + 1 bits behind a guard.
+    Every target solution of the designed and first 20 seeded sources, with
+    no per-type cap, pulls back to a source solution that verifies."""
+    red = build_entry(24, m=m)
+    got = Counter()
+    for inst in designed_instances(red.source, m) + [fuzz_instance(red.source, m, s) for s in range(20)]:
+        tgt = apply(red, inst)
+        sols, truncated = enumerate_solutions(tgt, SolveBudget(max_per_type=None))
+        assert not truncated
+        for sol in sols:
+            back = pullback(red, inst, sol, target=tgt)
+            assert verify(inst, back).ok
+            got[sol.tag, back.tag] += 1
+    assert dict(got) == cells
