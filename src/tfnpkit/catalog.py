@@ -9,8 +9,10 @@ Each clause kind is written once, parameterised by its range threshold where
 the tight variant of a problem restricts witness indices.  A clause gives its
 witness names, a scalar ``check`` that returns the reason a witness tuple
 fails (None when the clause holds), and an array ``scan`` over the instance's
-full output table that yields every accepted witness tuple as ints, first
-witness in [lo, hi), in canonical order.  Its ``check_many`` is the batch
+output table that yields every accepted witness tuple as ints, first witness
+in [lo, hi), in canonical order.  The scan of a local clause (``Value``,
+``Pinned``) reads only ``outs[lo:hi]``, so it runs on a prefix of the table;
+the others read all of it.  A clause's ``check_many`` is the batch
 form of ``check``: a bool mask over an (N, k) int array of witness tuples,
 built from the scan's array predicates and range masks, that reads outputs
 through ``values_at`` (the cached table, or ``apply_many`` on just those
@@ -306,14 +308,21 @@ class Range:
         return ((rows[:, :1] if self.first_only else rows) < self.limit(inst)).all(axis=1)
 
 
-def _in_range(rng: Optional[Range], inst, size: int) -> Optional[np.ndarray]:
-    return None if rng is None else rng.within(inst, np.arange(size)[:, None])
+def _in_range(rng: Optional[Range], inst, lo: int, hi: int) -> Optional[np.ndarray]:
+    """Which single indices lo .. hi-1 pass the range, or None without one.
+    Every range is a prefix [0, limit), so this is a bool mask built at once."""
+    if rng is None:
+        return None
+    ok = np.zeros(hi - lo, dtype=bool)
+    ok[:max(0, min(rng.limit(inst), hi) - lo)] = True
+    return ok
 
 
 class Clause:
     """One tagged solution clause; subclasses set ``witnesses``."""
 
     witnesses: tuple[str, ...]
+    local = False  # the scan over [lo, hi) reads only outs[lo:hi]
 
     def names(self, pid) -> tuple[str, ...]:
         return self.witnesses
@@ -337,6 +346,7 @@ class Pinned(Clause):
     holds: Callable
     reason: str
     witnesses = ()
+    local = True
 
     def check(self, inst, values):
         return None if self.holds(inst) else self.reason
@@ -362,6 +372,7 @@ class Value(Clause):
     reason: str
     range: Optional[Range] = None
     mask: Optional[Callable] = None
+    local = True
 
     def check(self, inst, values):
         if self.range is not None:
@@ -372,19 +383,18 @@ class Value(Clause):
             return self.reason.format(k=inst.pid.k)
         return None
 
-    def _ok(self, inst, rows: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    def _ok(self, inst, outs: np.ndarray, in_range: Optional[np.ndarray]) -> np.ndarray:
         ok = (self.mask or self.holds)(inst, outs)
-        if self.range is not None:
-            ok = ok & self.range.within(inst, rows)
-        return ok
+        return ok if in_range is None else ok & in_range
 
     def scan(self, inst, outs, lo, hi):
-        ok = self._ok(inst, np.arange(len(outs))[:, None], outs)
-        for x in np.flatnonzero(ok[lo:hi]):
+        ok = self._ok(inst, outs[lo:hi], _in_range(self.range, inst, lo, hi))
+        for x in np.flatnonzero(ok):
             yield (lo + int(x),)
 
     def check_many(self, inst, rows):
-        return self._ok(inst, rows, values_at(inst.circuit, rows[:, 0]))
+        in_range = None if self.range is None else self.range.within(inst, rows)
+        return self._ok(inst, values_at(inst.circuit, rows[:, 0]), in_range)
 
 
 @dataclass(eq=False)
@@ -412,7 +422,7 @@ class Pair(Clause):
         return None
 
     def _oks(self, inst, size: int) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        ok = _in_range(self.range, inst, size)
+        ok = _in_range(self.range, inst, 0, size)
         return ok, (None if self.range is None or self.range.first_only else ok)
 
     def scan(self, inst, outs, lo, hi):
@@ -479,7 +489,7 @@ class Clique(Clause):
 
     def scan(self, inst, outs, lo, hi):
         n = inst.n
-        ok = _in_range(self.range, inst, len(outs))
+        ok = _in_range(self.range, inst, 0, len(outs))
         if ok is None:
             ok = np.ones(len(outs), dtype=bool)
         return _clique_solutions(n, outs >> n, outs & ((1 << n) - 1), ok,

@@ -12,18 +12,22 @@ maps a numpy array of input values to an array of output values and is what
 makes exhaustive solving affordable; it only evaluates piecewise branches on
 the inputs they are selected for, so partial decoders stay safe inside
 guarded constructions.  ``eval_all`` runs it over every input value, in
-blocks of 2**16 consecutive inputs, and caches the result on the circuit as
-one read-only int64 array (32 MB at its cap ``MAX_EVAL_WIDTH``).  ``Circuit.eval`` and
-``Circuit.value_at`` map one input to one output: they index that table when
-the circuit has one, and otherwise run the scalar interpreter
-``_eval_value``, memoized per circuit.  Their array form ``values_at``
-indexes the table too, and otherwise runs ``apply_many`` on just the points
-asked for, never tabulating the circuit.  A ``GateNet`` evaluates on
-bit-planes: one uint8 array per gate (64 KB for an ``eval_all`` block rather
-than 512 KB), with inputs and outputs held in the narrowest unsigned dtype
-until the int64 result is formed.  A ``Table`` keeps its rows as one
-read-only int64 array, which is also its ``eval_all`` table; rows wider than
-62 bits stay a tuple of exact Python ints.
+blocks of 2**16 consecutive inputs, into one int64 array reserved for the
+whole range (32 MB at its cap ``MAX_EVAL_WIDTH``), whose pages become
+resident only as blocks are written.  ``table_prefix`` fills the blocks only
+up to a given input and a later call resumes where it stopped, so a search
+that finds its answer early evaluates no further.  Once every block is
+filled the array is cached on the circuit as its read-only table.
+``Circuit.eval`` and ``Circuit.value_at`` map one input to one output: they
+index that table when the circuit has one, and otherwise run the scalar
+interpreter ``_eval_value``, memoized per circuit.  Their array form
+``values_at`` indexes the table too, and otherwise runs ``apply_many`` on
+just the points asked for, never tabulating the circuit.  A ``GateNet``
+evaluates on bit-planes: one uint8 array per gate (64 KB for an ``eval_all``
+block rather than 512 KB), with inputs and outputs held in the narrowest
+unsigned dtype until the int64 result is formed.  A ``Table`` keeps its rows
+as one read-only int64 array, which is also its ``eval_all`` table; rows
+wider than 62 bits stay a tuple of exact Python ints.
 
 Text format (see ``to_text``/``from_text``): a ``CIRCUIT in=<w> out=<w>``
 header followed by one node.  ``to_text`` writes leaf content lines (table
@@ -81,7 +85,8 @@ class Circuit:
     in_width: int
     out_width: int
     depth = 1  # nesting levels; combinators set theirs in _nest
-    _table: np.ndarray | None = None  # set by eval_all
+    _table: np.ndarray | None = None  # set by table_prefix once every block is filled
+    _fill: tuple[np.ndarray, int] | None = None  # table_prefix's array, inputs filled so far
 
     def eval(self, x: BitString) -> BitString:
         if x.width != self.in_width:
@@ -148,27 +153,45 @@ def values_at(c: Circuit, xs: np.ndarray) -> np.ndarray:
     return apply_many(c, xs.ravel()).reshape(xs.shape)
 
 
-def eval_all(c: Circuit) -> np.ndarray:
-    """Outputs of c on every input value 0 .. 2**in_width - 1, in order.
+def table_prefix(c: Circuit, hi: int) -> np.ndarray:
+    """Outputs of c on the input values 0 .. hi-1: a read-only prefix of
+    ``eval_all(c)``.
 
-    The table is filled by ``apply_many`` in blocks of ``_EVAL_BLOCK``
-    consecutive inputs, so every intermediate array stays cache-sized.  A
-    failing block raises as ``apply_many`` does on that block and leaves the
-    circuit without a table.  The table is computed once and kept on the
-    circuit as a read-only array; later calls return that same array and
-    point evaluations index it.
+    ``apply_many`` fills blocks of ``_EVAL_BLOCK`` consecutive inputs, so
+    every intermediate array stays cache-sized, into one array reserved for
+    every input.  A call fills only the blocks up to hi that earlier calls
+    left; ``hi = 0`` evaluates nothing but still refuses a circuit wider than
+    ``MAX_EVAL_WIDTH``.  A failing block raises as ``apply_many`` does on it,
+    and a later call evaluates it again.  Once the last block is filled, the
+    array becomes the circuit's read-only table, which point evaluations
+    index.
     """
     if c._table is None:
         if c.in_width > MAX_EVAL_WIDTH:
             raise CapabilityError(f"eval_all capped at in_width {MAX_EVAL_WIDTH}, got {c.in_width}")
         size = 1 << c.in_width
-        table = np.empty(size, dtype=np.int64)
-        for lo in range(0, size, _EVAL_BLOCK):
-            hi = min(size, lo + _EVAL_BLOCK)
-            table[lo:hi] = apply_many(c, np.arange(lo, hi, dtype=np.int64))
+        if c._fill is None:
+            c._fill = (np.empty(size, dtype=np.int64), 0)
+        table, done = c._fill
+        while done < min(hi, size):
+            top = min(size, done + _EVAL_BLOCK)
+            table[done:top] = apply_many(c, np.arange(done, top, dtype=np.int64))
+            done = top
+            c._fill = (table, done)
+        if done < size:
+            prefix = table[:hi]
+            prefix.flags.writeable = False
+            return prefix
         table.flags.writeable = False
-        c._table = table
-    return c._table
+        c._table, c._fill = table, None
+    return c._table if hi >= len(c._table) else c._table[:hi]
+
+
+def eval_all(c: Circuit) -> np.ndarray:
+    """Outputs of c on every input value 0 .. 2**in_width - 1, in order: the
+    whole of ``table_prefix``.  It is computed once and kept on the circuit;
+    later calls return that same read-only array."""
+    return table_prefix(c, 1 << c.in_width)
 
 
 # ---------------------------------------------------------------------------

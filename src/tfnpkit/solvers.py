@@ -23,7 +23,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import Circuit, Compose, Gate, GateNet, const_circuit, eval_all, not_all, take_low
+from .circuit import (_EVAL_BLOCK, Circuit, Compose, Gate, GateNet, const_circuit, eval_all,
+                      not_all, table_prefix, take_low)
 from .errors import DomainError, IntegrityError, ParseError
 from .numerics import BitString
 from .problems import (
@@ -86,13 +87,14 @@ def _solutions(inst: ProblemInstance, tag: str, rows: list) -> list[Solution]:
     return [Solution(tag, tuple(zip(names, [BitString(width, v) for v in values]))) for values in rows]
 
 
-def _table(inst: ProblemInstance) -> tuple[np.ndarray, int]:
-    """The output table and the witness range of a well-formed instance."""
+def _witness_range(inst: ProblemInstance) -> int:
+    """The witness range of a well-formed instance whose circuit ``eval_all``
+    can tabulate; checked before any input is evaluated."""
     wf = inst.wellformed_verdict
     if not wf:
         raise DomainError(f"instance is malformed: {wf.reason}")
-    w = inst.circuit.in_width
-    return eval_all(inst.circuit), 1 << inst.pid.spec.witness_width(inst.n, w)
+    table_prefix(inst.circuit, 0)
+    return 1 << inst.pid.spec.witness_width(inst.n, inst.circuit.in_width)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,8 @@ def solution_rows(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     sorted-index form, from a depth-first search that yields them in
     ascending order without building the rest.
     """
-    outs, hi = _table(inst)
+    hi = _witness_range(inst)
+    outs = eval_all(inst.circuit)
     cap = budget.max_per_type
     rows: dict[str, np.ndarray] = {}
     truncated = False
@@ -134,28 +137,38 @@ def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget
 def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()) -> Solution:
     """The canonical-minimum accepted solution.
 
-    Deterministic for any parallelism degree: chunks of the first-witness
-    range are scanned independently and reduced by the canonical order.
+    Tags are tried in canonical order, and the circuit is tabulated only as
+    far as the answer needs.  A local tag (see ``catalog.Clause``) is scanned
+    one ``eval_all`` block at a time over a table prefix that grows with it,
+    so a hit in the first block evaluates that block alone.  Any other tag
+    reads the whole table; with ``parallelism`` above 1 its chunks of the
+    first-witness range are scanned by threads once the table is complete,
+    and reduced by the canonical order, so every parallelism gives the same
+    answer.
     """
-    outs, hi = _table(inst)
+    hi = _witness_range(inst)
+    c = inst.circuit
 
-    def first_in(tag: str, lo: int, chunk_hi: int) -> Optional[Solution]:
+    def first_in(tag: str, outs: np.ndarray, lo: int, chunk_hi: int) -> Optional[Solution]:
         values = next(inst.pid.spec.clauses[tag].scan(inst, outs, lo, chunk_hi), None)
         return None if values is None else _solutions(inst, tag, [values])[0]
 
     p = min(budget.parallelism, hi)
-    for tag in inst.pid.spec.clauses:
-        if p == 1:
-            got = first_in(tag, 0, hi)
-            if got is not None:
-                return got
-            continue
-        bounds = [(hi * i // p, hi * (i + 1) // p) for i in range(p)]
-        with ThreadPoolExecutor(max_workers=p) as pool:
-            candidates = list(pool.map(lambda b: first_in(tag, b[0], b[1]), bounds))
-        candidates = [s for s in candidates if s is not None]
-        if candidates:
-            return min(candidates, key=solution_order_key)
+    for tag, clause in inst.pid.spec.clauses.items():
+        if clause.local:
+            blocks = ((lo, min(hi, lo + _EVAL_BLOCK)) for lo in range(0, hi, _EVAL_BLOCK))
+            hits = (first_in(tag, table_prefix(c, top), lo, top) for lo, top in blocks)
+            got = next((s for s in hits if s is not None), None)
+        elif p == 1:
+            got = first_in(tag, eval_all(c), 0, hi)
+        else:
+            outs = eval_all(c)
+            bounds = [(hi * i // p, hi * (i + 1) // p) for i in range(p)]
+            with ThreadPoolExecutor(max_workers=p) as pool:
+                hits = list(pool.map(lambda b: first_in(tag, outs, *b), bounds))
+            got = min((s for s in hits if s is not None), key=solution_order_key, default=None)
+        if got is not None:
+            return got
     raise IntegrityError(
         f"no accepted solution for {inst.pid} at n={inst.n}: the problem is total, "
         "so this indicates a verifier or wellformedness bug"
@@ -436,23 +449,26 @@ def coloring_to_text(c: ColoringMatrix) -> str:
 
 
 def coloring_from_text(text: str) -> ColoringMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Read ``coloring_to_text``'s format; blank lines are skipped, and errors
+    give the line number in the text."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ParseError("empty coloring file", 1)
+    first_no, first = lines[0]
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError:
-        raise ParseError(f"first line must be N, got {lines[0]!r}", 1) from None
+        raise ParseError(f"first line must be N, got {first!r}", first_no) from None
     if n < 2:
-        raise ParseError("coloring needs N >= 2", 1)
+        raise ParseError("coloring needs N >= 2", first_no)
     if len(lines) != n:
-        raise ParseError(f"expected {n - 1} triangle rows, got {len(lines) - 1}", len(lines))
+        raise ParseError(f"expected {n - 1} triangle rows, got {len(lines) - 1}", lines[-1][0])
     table = np.zeros((n, n), dtype=np.int64)
     for i in range(n - 1):
-        row = lines[i + 1]
+        row_no, row = lines[i + 1]
         want = n - 1 - i
         if len(row) != want or any(ch not in "01" for ch in row):
-            raise ParseError(f"row {i} must be {want} characters of 0/1", i + 2)
+            raise ParseError(f"row {i} must be {want} characters of 0/1", row_no)
         for off, ch in enumerate(row):
             j = i + 1 + off
             table[i, j] = table[j, i] = int(ch)

@@ -11,9 +11,11 @@ the catalog module.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tfnpkit
+from tfnpkit.catalog import Range, _in_range
 from tfnpkit.errors import DomainError
 from tfnpkit.problems import (
     PROBLEM_NAMES,
@@ -123,3 +125,17 @@ def test_only_the_catalog_compares_problem_names():
     found = {path.name: name_comparisons(path.read_text())
              for path in sorted(package.glob("*.py")) if path.name != "catalog.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("first_only", (False, True))
+def test_range_mask_is_the_prefix_of_within(first_only):
+    # one index per row, so first_only cannot change the mask
+    size = 37
+    for limit in (0, 1, size - 1, size, size + 1, 1 << 40):
+        rng = Range(lambda inst: limit, first_only=first_only)
+        want = rng.within(None, np.arange(size)[:, None])
+        assert np.array_equal(_in_range(rng, None, 0, size), want)
+        for lo, hi in ((0, 10), (10, size), (36, size), (5, 5)):
+            got = _in_range(rng, None, lo, hi)
+            assert got.dtype == bool and np.array_equal(got, want[lo:hi])
+    assert _in_range(None, None, 0, size) is None

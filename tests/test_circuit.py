@@ -35,6 +35,7 @@ from tfnpkit.circuit import (
     shrink_chain,
     shrink_chain_pullback,
     swap_halves,
+    table_prefix,
     take_low,
     to_text,
 )
@@ -313,6 +314,43 @@ def test_blocked_eval_all_fails_like_one_shot_and_keeps_no_table():
         eval_all(c)
     assert str(blocked.value) == str(one_shot.value)
     assert c._table is None
+
+
+def test_table_prefix_resumes_and_ends_as_the_one_shot_table(monkeypatch):
+    rows = np.random.default_rng(5).integers(0, 1 << 16, 1 << 16)
+    c = Compose(Table(16, 16, rows), _fold_circuit(18, 16))
+    want = apply_many(c, np.arange(1 << 18))
+    calls = []
+    monkeypatch.setattr(circuit_mod, "apply_many",
+                        lambda c, xs: calls.append(len(xs)) or apply_many(c, xs))
+    assert table_prefix(c, 0).shape == (0,) and calls == []
+    head = table_prefix(c, 70000)
+    assert calls == [1 << 16] * 2 and c._table is None
+    assert np.array_equal(head, want[:70000]) and not head.flags.writeable
+    assert np.array_equal(table_prefix(c, 100), want[:100]) and len(calls) == 2
+    got = eval_all(c)
+    assert calls == [1 << 16] * 4
+    assert np.array_equal(got, want) and not got.flags.writeable
+    assert c._table is got and eval_all(c) is got and c._fill is None
+    assert np.array_equal(table_prefix(c, 9), want[:9]) and len(calls) == 4
+
+
+def test_failing_block_keeps_the_filled_prefix_and_fails_again(monkeypatch):
+    # cover_decode k=6 m=22: block 0 decodes, block 1 holds the first rank
+    # past C(22, 6) = 74613
+    c = Builtin("cover_decode", k=6, m=22)
+    want = apply_many(c, np.arange(1 << 16))
+    calls = []
+    monkeypatch.setattr(circuit_mod, "apply_many",
+                        lambda c, xs: calls.append(len(xs)) or apply_many(c, xs))
+    with pytest.raises(DomainError) as first:
+        eval_all(c)
+    assert calls == [1 << 16] * 2 and c._table is None
+    assert np.array_equal(table_prefix(c, 1 << 16), want) and len(calls) == 2
+    with pytest.raises(DomainError) as again:
+        eval_all(c)
+    assert str(again.value) == str(first.value)
+    assert calls == [1 << 16] * 3 and c._table is None
 
 
 def test_serialization_round_trip():

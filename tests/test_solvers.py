@@ -7,11 +7,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from tfnpkit.catalog import _collision_pairs, _popcount, _tree_mask
-from tfnpkit.circuit import MAX_EVAL_WIDTH, Table, eval_all
+import tfnpkit.circuit as circuit_mod
+import tfnpkit.solvers as solvers_mod
+from tfnpkit.catalog import SPECS, Value, _collision_pairs, _popcount, _tree_mask
+from tfnpkit.circuit import MAX_EVAL_WIDTH, Builtin, Compose, ConstOp, Slice, Table, eval_all
 from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
-from tfnpkit.numerics import bits_of, ceil_log2
+from tfnpkit.numerics import BitString, bits_of, ceil_log2
 from tfnpkit.problems import (
     ProblemId,
     ProblemInstance,
@@ -36,6 +38,7 @@ from tfnpkit.solvers import (
     fuzz_instance,
     ramsey_explicit,
     random_coloring,
+    solution_rows,
 )
 
 WS = ("ws", "ws_collisions", "ws_colorful")
@@ -415,3 +418,94 @@ def test_twin_triangle_scan_refuses_wide_vertex_sets():
     with pytest.raises(CapabilityError, match="vertex triples"):
         next(scan)
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_coloring_errors_give_the_line_in_the_text():
+    with pytest.raises(ParseError, match="^line 4: row 1 must be 1 characters"):
+        coloring_from_text("3\n\n01\n0x\n")
+    with pytest.raises(ParseError, match="^line 4: expected 2 triangle rows, got 1"):
+        coloring_from_text("3\n\n\n01\n")
+    with pytest.raises(ParseError, match="^line 4: expected 1 triangle rows, got 2"):
+        coloring_from_text("2\n1\n\n1\n")
+    with pytest.raises(ParseError, match="^line 3: first line must be N"):
+        coloring_from_text("\n\nx\n")
+    c = coloring_from_text("\n3\n\n01\n\n1\n\n")
+    assert c.n == 3 and c.table.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# solve stops at its answer: local tags walk the table block by block
+
+LAZY_CASES = [(name, n) for name, spec in SPECS.items() for n in (spec.min_n, spec.min_n + 1)]
+
+
+def _lazy_instances(name, n):
+    """Designed and seeded instances, built afresh so no table is cached."""
+    pid = ProblemId(name, **SPECS[name].params)
+    return designed_instances(pid, n) + [fuzz_instance(pid, n, seed) for seed in range(20)]
+
+
+@pytest.mark.parametrize("name,n", LAZY_CASES)
+def test_lazy_solve_is_the_first_row_of_the_full_scan(name, n, monkeypatch):
+    firsts = []
+    for inst in _lazy_instances(name, n):
+        rows, _ = solution_rows(inst, SolveBudget(max_per_type=1))
+        tag = next(t for t, r in rows.items() if len(r))
+        firsts.append((tag, rows[tag][0].tolist()))
+    # the default block holds every input here; blocks of 3 make the walk resume
+    for block in (circuit_mod._EVAL_BLOCK, 3):
+        monkeypatch.setattr(circuit_mod, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(solvers_mod, "_EVAL_BLOCK", block)
+        for p in (1, 4):
+            for inst, want in zip(_lazy_instances(name, n), firsts):
+                got = brute_force_solve(inst, SolveBudget(parallelism=p))
+                assert (got.tag, [v.value for v in got.values()]) == want
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name, n in LAZY_CASES if any(
+    isinstance(c, Value) for c in SPECS[name].clauses.values())])
+def test_value_scan_by_blocks_equals_the_whole_table_mask(name, n):
+    for inst in _lazy_instances(name, n):
+        outs = eval_all(inst.circuit)
+        size = len(outs)
+        for clause in inst.pid.spec.clauses.values():
+            if not isinstance(clause, Value):
+                continue
+            ok = (clause.mask or clause.holds)(inst, outs)
+            if clause.range is not None:
+                ok = ok & clause.range.within(inst, np.arange(size)[:, None])
+            want = np.flatnonzero(ok).tolist()
+            for block in (1, 3, size):
+                got = [x for lo in range(0, size, block)
+                       for (x,) in clause.scan(inst, outs[:lo + block], lo, min(size, lo + block))]
+                assert got == want
+
+
+def test_solve_stops_at_the_first_block_with_a_hit(monkeypatch):
+    calls = []
+    real = circuit_mod.apply_many
+    monkeypatch.setattr(circuit_mod, "apply_many",
+                        lambda c, xs: calls.append(len(xs)) or real(c, xs))
+    for p in (1, 2):
+        inst = fuzz_instance(ProblemId("weak_ekr"), 12, 0)
+        assert inst.circuit.in_width == MAX_EVAL_WIDTH
+        sol = brute_force_solve(inst, SolveBudget(parallelism=p))
+        assert sol.tag == "i" and sol.values()[0].value == 0 and verify(inst, sol)
+        assert calls == [circuit_mod._EVAL_BLOCK] and inst.circuit._table is None
+        calls.clear()
+    wide = fuzz_instance(ProblemId("pigeon"), MAX_EVAL_WIDTH + 1, 0)
+    with pytest.raises(CapabilityError, match="capped at in_width 22"):
+        brute_force_solve(wide)
+    assert calls == []
+
+
+def test_solve_returns_a_hit_that_lies_before_a_failing_block():
+    # cover_decode k=6 m=22 fails on block 1; the xor makes x = 0 map to 0,
+    # so pigeon's first tag holds in block 0
+    decode = Slice(Builtin("cover_decode", k=6, m=22), 5, 22)
+    circ = Compose(ConstOp("xor", BitString(17, decode.value_at(0))), decode)
+    inst = ProblemInstance(ProblemId("pigeon"), 17, circ)
+    sol = brute_force_solve(inst)
+    assert sol.tag == "i" and sol.values()[0].value == 0 and circ._table is None
+    with pytest.raises(DomainError):
+        eval_all(circ)
