@@ -10,9 +10,20 @@ the tight variant of a problem restricts witness indices.  A clause gives its
 witness names, a scalar ``check`` that returns the reason a witness tuple
 fails (None when the clause holds), and an array ``scan`` over the instance's
 output table that yields every accepted witness tuple as ints, first witness
-in [lo, hi), in canonical order.  The scan of a local clause (``Value``,
-``Pinned``) reads only ``outs[lo:hi]``, so it runs on a prefix of the table;
-the others read all of it.  A clause's ``check_many`` is the batch
+in [lo, hi), in canonical order.  ``Clause.reach`` says how much of the
+table a scan reads, in three kinds:
+
+- ``Value`` reads a table prefix, ``outs[lo:hi]``, one block at a time, so
+  it runs on a prefix of the table and a capped scan masks no further than
+  its last row;
+- ``Pinned`` and ``Asymmetric`` read their own points and ignore ``outs``:
+  ``Pinned`` its designated edges, ``Asymmetric`` row and column lo of the
+  color matrix through ``values_at``, and the table only once that row is
+  read;
+- ``Pair``, ``Collision``, ``Clique``, ``Triangle`` and ``Twins`` read the
+  whole table.
+
+A clause's ``check_many`` is the batch
 form of ``check``: a bool mask over an (N, k) int array of witness tuples,
 built from the scan's array predicates and range masks, that reads outputs
 through ``values_at`` (the cached table, or ``apply_many`` on just those
@@ -30,7 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .circuit import values_at
+from .circuit import _EVAL_BLOCK, eval_all, values_at
 from .encodings import is_spanning_tree, prufer_width
 from .errors import CapabilityError
 from .numerics import BitString, binomial, ceil_log2
@@ -138,24 +149,40 @@ def _tree_mask(n: int, outs: np.ndarray) -> np.ndarray:
 
 def _collision_pairs(outs: np.ndarray, lo: int, hi: int,
                      first_ok=None, second_ok=None) -> Iterator[tuple[int, int]]:
-    """Ordered pairs (x, y), x != y, outs[x] == outs[y], ascending (x, y)."""
-    values, counts = np.unique(outs, return_counts=True)
-    xs = np.flatnonzero(np.isin(outs[lo:hi], values[counts >= 2])) + lo
-    if first_ok is not None:
-        xs = xs[first_ok[xs]]
+    """Ordered pairs (x, y), x != y, outs[x] == outs[y], ascending (x, y).
+
+    The values are sorted once, in the narrowest dtype that holds them, and
+    the ones held more than once are looked up for the first witnesses block
+    by block from lo.  The blocks double from one input to ``_EVAL_BLOCK``, so
+    a first witness at lo costs the sort and one lookup.
+    """
+    if lo >= hi:
+        return
+    ordered = outs.astype(np.min_scalar_type(outs.max()) if outs.min() >= 0 else outs.dtype)
+    ordered.sort()
+    # each value held more than once, taken at the last of its copies
+    last = np.r_[ordered[1:] != ordered[:-1], True]
+    repeats = np.compress(last[1:] & ~last[:-1], ordered[1:])
+    if not len(repeats):
+        return
     groups: dict[int, np.ndarray] = {}
-    for x in xs:
-        x = int(x)
-        key = int(outs[x])
-        if key not in groups:
-            groups[key] = np.flatnonzero(outs == key)
-        mates = groups[key]
-        if second_ok is not None:
-            mates = mates[second_ok[mates]]
-        for y in mates:
-            y = int(y)
-            if y != x:
-                yield (x, y)
+    start, size = lo, 1
+    while start < hi:
+        top = min(hi, start + size)
+        vals = outs[start:top].astype(repeats.dtype)
+        at = np.minimum(np.searchsorted(repeats, vals), len(repeats) - 1)
+        xs = np.flatnonzero(repeats[at] == vals) + start
+        if first_ok is not None:
+            xs = xs[first_ok[xs]]
+        for x in xs.tolist():
+            key = int(outs[x])
+            if key not in groups:
+                mates = np.flatnonzero(outs == key)
+                groups[key] = mates if second_ok is None else mates[second_ok[mates]]
+            for y in groups[key].tolist():
+                if y != x:
+                    yield (x, y)
+        start, size = top, min(2 * size, _EVAL_BLOCK)
 
 
 def _clique_solutions(n: int, e_u: np.ndarray, e_v: np.ndarray, in_range: np.ndarray,
@@ -322,10 +349,15 @@ class Clause:
     """One tagged solution clause; subclasses set ``witnesses``."""
 
     witnesses: tuple[str, ...]
-    local = False  # the scan over [lo, hi) reads only outs[lo:hi]
 
     def names(self, pid) -> tuple[str, ...]:
         return self.witnesses
+
+    def reach(self, hi: int) -> Optional[int]:
+        """How far into the output table the scan of first witnesses below
+        hi reads: hi for a scan of ``outs[lo:hi]``, 0 for one that reads only
+        its own points, None for one that reads all of it."""
+        return None
 
     def check(self, inst, values: tuple[BitString, ...]) -> Optional[str]:
         raise NotImplementedError
@@ -346,7 +378,9 @@ class Pinned(Clause):
     holds: Callable
     reason: str
     witnesses = ()
-    local = True
+
+    def reach(self, hi):
+        return 0
 
     def check(self, inst, values):
         return None if self.holds(inst) else self.reason
@@ -372,7 +406,9 @@ class Value(Clause):
     reason: str
     range: Optional[Range] = None
     mask: Optional[Callable] = None
-    local = True
+
+    def reach(self, hi):
+        return hi
 
     def check(self, inst, values):
         if self.range is not None:
@@ -388,9 +424,12 @@ class Value(Clause):
         return ok if in_range is None else ok & in_range
 
     def scan(self, inst, outs, lo, hi):
-        ok = self._ok(inst, outs[lo:hi], _in_range(self.range, inst, lo, hi))
-        for x in np.flatnonzero(ok):
-            yield (lo + int(x),)
+        # one block of the mask at a time, so a capped scan stops at its cap
+        for start in range(lo, hi, _EVAL_BLOCK):
+            top = min(hi, start + _EVAL_BLOCK)
+            ok = self._ok(inst, outs[start:top], _in_range(self.range, inst, start, top))
+            for x in np.flatnonzero(ok):
+                yield (start + int(x),)
 
     def check_many(self, inst, rows):
         in_range = None if self.range is None else self.range.within(inst, rows)
@@ -530,9 +569,17 @@ def _color_matrix(inst, outs: np.ndarray) -> np.ndarray:
 
 
 class Asymmetric(Clause):
-    """A vertex pair whose two orientations get different colors."""
+    """A vertex pair whose two orientations get different colors.
+
+    The scan ignores ``outs``: it compares row x of the color matrix with
+    column x, reading row and column lo through ``values_at`` and the rows
+    after it from ``eval_all``, so a hit at x = lo tabulates nothing and a
+    symmetric coloring tabulates the circuit once."""
 
     witnesses = ("x", "y")
+
+    def reach(self, hi):
+        return 0
 
     def check(self, inst, values):
         x, y = values
@@ -541,11 +588,18 @@ class Asymmetric(Clause):
         return None
 
     def scan(self, inst, outs, lo, hi):
-        m = _color_matrix(inst, outs)
-        asym = m != m.T
-        for x in range(lo, min(hi, len(m))):
-            for y in np.flatnonzero(asym[x]):
-                yield (x, int(y))
+        v_count = 1 << (2 * inst.n)
+        hi = min(hi, v_count)
+        if lo >= hi:
+            return
+        ids = np.arange(v_count)
+        both = values_at(inst.circuit, np.concatenate([lo * v_count + ids, ids * v_count + lo]))
+        for y in np.flatnonzero(both[:v_count] != both[v_count:]).tolist():
+            yield (lo, y)
+        m = _color_matrix(inst, eval_all(inst.circuit))
+        for x, row in enumerate(m[lo + 1:hi] != m[:, lo + 1:hi].T, lo + 1):
+            for y in np.flatnonzero(row).tolist():
+                yield (x, y)
 
     def check_many(self, inst, rows):
         c = _colors(inst, rows, ((0, 1), (1, 0)))

@@ -138,13 +138,15 @@ def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
     """The canonical-minimum accepted solution.
 
     Tags are tried in canonical order, and the circuit is tabulated only as
-    far as the answer needs.  A local tag (see ``catalog.Clause``) is scanned
-    one ``eval_all`` block at a time over a table prefix that grows with it,
-    so a hit in the first block evaluates that block alone.  Any other tag
-    reads the whole table; with ``parallelism`` above 1 its chunks of the
-    first-witness range are scanned by threads once the table is complete,
-    and reduced by the canonical order, so every parallelism gives the same
-    answer.
+    far as the answer needs: ``Clause.reach`` says how much of the table a
+    tag's scan reads.  A tag that reads a table prefix (``Value``) or only
+    its own points (``Pinned``, ``Asymmetric``) is scanned one ``eval_all``
+    block of first witnesses at a time, over a table prefix that grows with
+    it as far as the scan reads, so a hit in the first block evaluates that
+    block, or those points, alone.  Any other tag reads the whole table;
+    with ``parallelism`` above 1 its chunks of the first-witness range are
+    scanned by threads once the table is complete, and reduced by the
+    canonical order, so every parallelism gives the same answer.
     """
     hi = _witness_range(inst)
     c = inst.circuit
@@ -155,9 +157,9 @@ def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()
 
     p = min(budget.parallelism, hi)
     for tag, clause in inst.pid.spec.clauses.items():
-        if clause.local:
+        if clause.reach(hi) is not None:
             blocks = ((lo, min(hi, lo + _EVAL_BLOCK)) for lo in range(0, hi, _EVAL_BLOCK))
-            hits = (first_in(tag, table_prefix(c, top), lo, top) for lo, top in blocks)
+            hits = (first_in(tag, table_prefix(c, clause.reach(top)), lo, top) for lo, top in blocks)
             got = next((s for s in hits if s is not None), None)
         elif p == 1:
             got = first_in(tag, eval_all(c), 0, hi)

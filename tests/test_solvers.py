@@ -7,10 +7,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import tfnpkit.catalog as catalog_mod
 import tfnpkit.circuit as circuit_mod
 import tfnpkit.solvers as solvers_mod
 from tfnpkit.catalog import SPECS, Value, _collision_pairs, _popcount, _tree_mask
-from tfnpkit.circuit import MAX_EVAL_WIDTH, Builtin, Compose, ConstOp, Slice, Table, eval_all
+from tfnpkit.circuit import (MAX_EVAL_WIDTH, Builtin, Compose, ConstOp, Slice, Table, eval_all,
+                             identity)
 from tfnpkit.encodings import is_spanning_tree
 from tfnpkit.errors import CapabilityError, DomainError, ParseError
 from tfnpkit.numerics import BitString, bits_of, ceil_log2
@@ -219,6 +221,33 @@ def test_collision_pairs_match_the_inverse_scan():
     # a table without collisions yields nothing; a constant one yields every pair
     assert list(_collision_pairs(np.arange(5), 0, 5)) == []
     assert len(list(_collision_pairs(np.zeros(6, dtype=np.int64), 0, 6))) == 30
+
+
+@pytest.mark.parametrize("first_on,second_on", [(False, False), (True, False),
+                                                 (False, True), (True, True)])
+def test_collision_pairs_in_small_blocks_match_the_inverse_scan(monkeypatch, first_on, second_on):
+    # blocks of at most 4 inputs split every cut below; the values fit uint8,
+    # uint16 and uint32, or are negative or 2**40 wide and stay int64
+    monkeypatch.setattr(catalog_mod, "_EVAL_BLOCK", 4)
+    rng = np.random.default_rng(11)
+    size = 90
+    tables = {
+        "uint8": rng.integers(0, 200, size),
+        "uint16": rng.integers(0, 1 << 16, size) % 60 * 1000,
+        "uint32": rng.integers(1 << 16, 1 << 32, size) % 50 + (1 << 31),
+        "negative": rng.integers(-30, 30, size),
+        "2**40 wide": rng.integers(-(1 << 40), 1 << 40, size) % 40 * (1 << 34) - (1 << 40),
+        "one late pair": np.r_[np.arange(size - 1) * 7, 7 * (size - 3)],
+    }
+    first_ok = rng.random(size) < 0.7 if first_on else None
+    second_ok = rng.random(size) < 0.6 if second_on else None
+    for label, outs in tables.items():
+        outs = np.asarray(outs, dtype=np.int64)
+        assert len(np.unique(outs)) < size, label  # every table has a collision
+        for lo, hi in [(0, size), (0, 1), (1, 6), (5, 9), (7, 40), (size - 1, size), (size, size)]:
+            got = list(_collision_pairs(outs, lo, hi, first_ok, second_ok))
+            assert got == list(collision_pairs_by_inverse(outs, lo, hi, first_ok, second_ok)), \
+                (label, lo, hi)
 
 
 def test_popcount_matches_bin_count():
@@ -509,3 +538,129 @@ def test_solve_returns_a_hit_that_lies_before_a_failing_block():
     assert sol.tag == "i" and sol.values()[0].value == 0 and circ._table is None
     with pytest.raises(DomainError):
         eval_all(circ)
+
+
+def test_capped_value_scan_masks_only_the_first_block(monkeypatch):
+    inst = fuzz_instance(ProblemId("weak_ekr"), 12, 0)
+    clause = inst.pid.spec.clauses["i"]
+    masked = []
+    real = clause.mask
+    monkeypatch.setattr(clause, "mask", lambda i, outs: masked.append(len(outs)) or real(i, outs))
+    rows, truncated = solution_rows(inst, SolveBudget(max_per_type=1))
+    assert truncated
+    assert {tag: r.tolist() for tag, r in rows.items()} == {
+        "i": [[0]], "ii": [[0, 65537]], "iii": [[0, 267]]}
+    assert masked == [circuit_mod._EVAL_BLOCK]
+
+
+# ---------------------------------------------------------------------------
+# solve stops at its answer: an asymmetric pair costs one row and column
+
+
+def asymmetric_pairs_by_transpose(inst, outs, lo, hi):
+    """The Asymmetric scan as written on the whole color matrix: the
+    reference for the rows of the row-and-column scan."""
+    v_count = 1 << (2 * inst.n)
+    m = outs.reshape(v_count, v_count)
+    asym = m != m.T
+    for x in range(lo, min(hi, v_count)):
+        for y in np.flatnonzero(asym[x]):
+            yield (x, int(y))
+
+
+def _untabled(inst):
+    """inst on a fresh wrapper of its circuit, which has no table yet."""
+    circ = Compose(inst.circuit, identity(inst.circuit.in_width))
+    return ProblemInstance(inst.pid, inst.n, circ, abc=inst.abc)
+
+
+def _ws_abc(n):
+    w = 2 * n
+    return (BitString(w, 0), BitString(w, (1 << w) - 1), BitString(w, 1))
+
+
+def symmetric_ws(n, f, name="ws"):
+    """A ws instance whose color of (u, v) is f(u XOR v), on a plain table."""
+    w = 2 * n
+    i = np.arange(1 << (2 * w))
+    rows = np.asarray(f((i >> w) ^ (i & ((1 << w) - 1))), dtype=np.int64)
+    return ProblemInstance(ProblemId(name), n, Table(2 * w, n, rows), abc=_ws_abc(n))
+
+
+def _asymmetric_cuts(v_count):
+    return [(0, v_count), (0, 1), (1, v_count), (v_count // 2, v_count), (1, 3),
+            (v_count - 1, v_count + 5), (v_count, v_count)]
+
+
+def _check_asymmetric_scan(inst):
+    clause = inst.pid.spec.clauses["ii"]
+    outs = eval_all(inst.circuit)
+    for lo, hi in _asymmetric_cuts(1 << (2 * inst.n)):
+        want = list(asymmetric_pairs_by_transpose(inst, outs, lo, hi))
+        assert list(clause.scan(inst, outs, lo, hi)) == want, (lo, hi)
+        fresh = _untabled(inst)
+        got = list(clause.scan(fresh, circuit_mod.table_prefix(fresh.circuit, 0), lo, hi))
+        assert got == want, (lo, hi)
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in WS for n in (1, 2, 3)])
+def test_asymmetric_scan_matches_the_transpose_scan(name, n):
+    pid = ProblemId(name)
+    for inst in designed_instances(pid, n) + [fuzz_instance(pid, n, seed) for seed in range(20)]:
+        _check_asymmetric_scan(inst)
+
+
+def test_asymmetric_scan_on_planted_tables():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        v_count = 1 << (2 * n)
+        f = rng.integers(0, 1 << n, v_count)
+        sym = symmetric_ws(n, lambda d: f[d])
+        _check_asymmetric_scan(sym)
+        assert list(sym.pid.spec.clauses["ii"].scan(sym, eval_all(sym.circuit), 0, v_count)) == []
+        for x, y in [(0, 1), (v_count - 1, 0), (2, v_count - 1)]:
+            rows = np.array(sym.circuit.rows)
+            rows[(x << (2 * n)) | y] ^= 1
+            one = ProblemInstance(sym.pid, n, Table(4 * n, n, rows), abc=sym.abc)
+            _check_asymmetric_scan(one)
+            scan = one.pid.spec.clauses["ii"].scan(one, eval_all(one.circuit), 0, v_count)
+            assert sorted(scan) == sorted([(x, y), (y, x)])
+
+
+def _count_inputs(monkeypatch):
+    counts = []
+    real = circuit_mod.apply_many
+    monkeypatch.setattr(circuit_mod, "apply_many",
+                        lambda c, xs: counts.append(len(xs)) or real(c, xs))
+    return counts
+
+
+def test_ws_solve_reads_one_row_and_column(monkeypatch):
+    # the answer is the asymmetric pair (0, 1): row 0 and column 0 of the
+    # 1024 x 1024 color matrix are all that is evaluated
+    counts = _count_inputs(monkeypatch)
+    for name in WS:
+        for p in (1, 2):
+            inst = fuzz_instance(ProblemId(name), 5, 0)
+            assert inst.circuit.in_width == 20
+            sol = brute_force_solve(inst, SolveBudget(parallelism=p))
+            assert (sol.tag, [v.value for v in sol.values()]) == ("ii", [0, 1])
+            assert verify(inst, sol).ok and inst.circuit._table is None
+            assert sum(counts) <= 2 * 1024, (name, counts)
+            counts.clear()
+
+
+def test_symmetric_ws_solve_tabulates_once_within_budget(monkeypatch):
+    # no asymmetric pair: after row and column 0 the scan reads the table, so
+    # the circuit is evaluated on its 2**20 inputs once, plus those 2048 points
+    counts = _count_inputs(monkeypatch)
+    for name in WS:
+        plain = symmetric_ws(5, lambda d: np.bitwise_count(d) % 32, name)
+        inst = _untabled(plain)
+        t0 = time.perf_counter()
+        sol = brute_force_solve(inst)
+        elapsed = time.perf_counter() - t0
+        assert sol.tag == "iii" and verify(inst, sol).ok
+        assert sum(counts) == (1 << 20) + 2 * 1024, (name, counts)
+        assert elapsed < 1.0, f"{name}: {elapsed:.2f} s"
+        counts.clear()
