@@ -10,18 +10,17 @@ the tight variant of a problem restricts witness indices.  A clause gives its
 witness names, a scalar ``check`` that returns the reason a witness tuple
 fails (None when the clause holds), and an array ``scan`` over the instance's
 output table that yields every accepted witness tuple as ints, first witness
-in [lo, hi), in canonical order.  ``Clause.reach`` says how much of the
-table a scan reads, in three kinds:
+in [lo, hi), in canonical order.  ``Clause.whole_table`` says whether a
+scan reads the whole table from ``outs``:
 
-- ``Value`` reads a table prefix, ``outs[lo:hi]``, one block at a time, so
-  it runs on a prefix of the table and a capped scan masks no further than
-  its last row;
-- ``Pinned`` and ``Asymmetric`` read their own points and ignore ``outs``:
-  ``Pinned`` its designated edges, ``Asymmetric`` row and column lo of the
-  color matrix through ``values_at``, and the table only once that row is
-  read;
-- ``Pair``, ``Collision``, ``Clique``, ``Triangle`` and ``Twins`` read the
-  whole table.
+- ``Pair``, ``Collision``, ``Clique``, ``Triangle`` and ``Twins`` do, and
+  their caller tabulates the circuit first;
+- ``Value``, ``Pinned`` and ``Asymmetric`` do not.  They ignore ``outs``
+  and fetch what they read: ``Value`` the table one block of first
+  witnesses at a time through ``table_prefix``, so a scan that stops early
+  tabulates and masks no further than its last row; ``Pinned`` its
+  designated edges; ``Asymmetric`` row and column lo of the color matrix
+  through ``values_at``, and the whole table only once that row is read.
 
 A clause's ``check_many`` is the batch
 form of ``check``: a bool mask over an (N, k) int array of witness tuples,
@@ -41,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .circuit import _EVAL_BLOCK, eval_all, values_at
+from .circuit import _EVAL_BLOCK, eval_all, table_prefix, values_at
 from .encodings import is_spanning_tree, prufer_width
 from .errors import CapabilityError
 from .numerics import BitString, binomial, ceil_log2
@@ -349,20 +348,17 @@ class Clause:
     """One tagged solution clause; subclasses set ``witnesses``."""
 
     witnesses: tuple[str, ...]
+    # True when scan reads the whole output table from outs; a clause that
+    # sets it False ignores outs and fetches the outputs its scan reads
+    whole_table = True
 
     def names(self, pid) -> tuple[str, ...]:
         return self.witnesses
 
-    def reach(self, hi: int) -> Optional[int]:
-        """How far into the output table the scan of first witnesses below
-        hi reads: hi for a scan of ``outs[lo:hi]``, 0 for one that reads only
-        its own points, None for one that reads all of it."""
-        return None
-
     def check(self, inst, values: tuple[BitString, ...]) -> Optional[str]:
         raise NotImplementedError
 
-    def scan(self, inst, outs: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    def scan(self, inst, outs: Optional[np.ndarray], lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         raise NotImplementedError
 
     def check_many(self, inst, rows: np.ndarray) -> np.ndarray:
@@ -379,8 +375,7 @@ class Pinned(Clause):
     reason: str
     witnesses = ()
 
-    def reach(self, hi):
-        return 0
+    whole_table = False
 
     def check(self, inst, values):
         return None if self.holds(inst) else self.reason
@@ -407,8 +402,7 @@ class Value(Clause):
     range: Optional[Range] = None
     mask: Optional[Callable] = None
 
-    def reach(self, hi):
-        return hi
+    whole_table = False
 
     def check(self, inst, values):
         if self.range is not None:
@@ -424,10 +418,12 @@ class Value(Clause):
         return ok if in_range is None else ok & in_range
 
     def scan(self, inst, outs, lo, hi):
-        # one block of the mask at a time, so a capped scan stops at its cap
+        # one block of the table and its mask at a time, so a scan tabulates
+        # and masks no further than the block of its last row
         for start in range(lo, hi, _EVAL_BLOCK):
             top = min(hi, start + _EVAL_BLOCK)
-            ok = self._ok(inst, outs[start:top], _in_range(self.range, inst, start, top))
+            ok = self._ok(inst, table_prefix(inst.circuit, top)[start:],
+                          _in_range(self.range, inst, start, top))
             for x in np.flatnonzero(ok):
                 yield (start + int(x),)
 
@@ -571,15 +567,15 @@ def _color_matrix(inst, outs: np.ndarray) -> np.ndarray:
 class Asymmetric(Clause):
     """A vertex pair whose two orientations get different colors.
 
-    The scan ignores ``outs``: it compares row x of the color matrix with
-    column x, reading row and column lo through ``values_at`` and the rows
-    after it from ``eval_all``, so a hit at x = lo tabulates nothing and a
-    symmetric coloring tabulates the circuit once."""
+    Not ``whole_table``: the scan ignores ``outs`` and compares row x of the
+    color matrix with column x, reading row and column lo through
+    ``values_at`` and the rows after it from ``eval_all``, so a hit at
+    x = lo tabulates nothing and a symmetric coloring tabulates the circuit
+    once."""
 
     witnesses = ("x", "y")
 
-    def reach(self, hi):
-        return 0
+    whole_table = False
 
     def check(self, inst, values):
         x, y = values

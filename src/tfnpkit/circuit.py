@@ -883,11 +883,13 @@ _NODE_WORDS = {"TABLE", "NETLIST", "BLOCK", "PIECEWISE", "CASE", "CASEPRED", "EL
                *_COMBINATORS, *_CONST_WORDS}
 
 
-def _build_error(e: KeyError | ValueError, lineno: int) -> ParseError:
+def _build_error(e: KeyError | ValueError | OverflowError, lineno: int) -> ParseError:
     """What an error raised while building the node or case on line lineno
     is reported as."""
     if isinstance(e, KeyError):
         return ParseError(f"missing or unknown attribute {e}", lineno)
+    if isinstance(e, OverflowError):
+        return ParseError("width too large to build this node", lineno)
     return ParseError(str(e), lineno)
 
 
@@ -957,7 +959,7 @@ class _Parser:
             return self._build(word, attrs, indent, lineno, default_in, default_out)
         except ParseError:
             raise
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, OverflowError) as e:
             raise _build_error(e, lineno) from e
         finally:
             self.depth -= 1
@@ -969,6 +971,8 @@ class _Parser:
             out_w = int(attrs.get("out", default_out))
             if in_w < 0 or out_w < 0:
                 raise ParseError("nested TABLE needs in= and out=", lineno)
+            if in_w > MAX_TABLE_WIDTH:
+                raise ParseError(f"table in_width {in_w} beyond cap {MAX_TABLE_WIDTH}", lineno)
             return Table(in_w, out_w, self.table_rows(1 << in_w, out_w))
         if word == "NETLIST":
             in_w = int(attrs.get("in", default_in))

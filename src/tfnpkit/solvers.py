@@ -23,8 +23,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .circuit import (_EVAL_BLOCK, Circuit, Compose, Gate, GateNet, const_circuit, eval_all,
-                      not_all, table_prefix, take_low)
+from .circuit import (Circuit, Compose, Gate, GateNet, const_circuit, eval_all, not_all,
+                      table_prefix, take_low)
 from .errors import DomainError, IntegrityError, ParseError
 from .numerics import BitString
 from .problems import (
@@ -137,34 +137,29 @@ def enumerate_solutions(inst: ProblemInstance, budget: SolveBudget = SolveBudget
 def brute_force_solve(inst: ProblemInstance, budget: SolveBudget = SolveBudget()) -> Solution:
     """The canonical-minimum accepted solution.
 
-    Tags are tried in canonical order, and the circuit is tabulated only as
-    far as the answer needs: ``Clause.reach`` says how much of the table a
-    tag's scan reads.  A tag that reads a table prefix (``Value``) or only
-    its own points (``Pinned``, ``Asymmetric``) is scanned one ``eval_all``
-    block of first witnesses at a time, over a table prefix that grows with
-    it as far as the scan reads, so a hit in the first block evaluates that
-    block, or those points, alone.  Any other tag reads the whole table;
-    with ``parallelism`` above 1 its chunks of the first-witness range are
-    scanned by threads once the table is complete, and reduced by the
-    canonical order, so every parallelism gives the same answer.
+    Tags are tried in canonical order.  A tag whose scan reads the whole
+    table (``Clause.whole_table``) is scanned once the circuit is tabulated;
+    with ``parallelism`` above 1, threads scan chunks of its first-witness
+    range, and the hits are reduced by the canonical order, so every
+    parallelism gives the same answer.  Any other tag is scanned serially
+    and fetches what its scan reads: a single-value tag tabulates the
+    circuit no further than the 2^16-input block of its first hit, a pinned
+    tag reads its own points, and the asymmetric-pair tag reads row and
+    column 0 of the color matrix before it tabulates anything.
     """
     hi = _witness_range(inst)
     c = inst.circuit
 
-    def first_in(tag: str, outs: np.ndarray, lo: int, chunk_hi: int) -> Optional[Solution]:
+    def first_in(tag: str, outs: Optional[np.ndarray], lo: int, chunk_hi: int) -> Optional[Solution]:
         values = next(inst.pid.spec.clauses[tag].scan(inst, outs, lo, chunk_hi), None)
         return None if values is None else _solutions(inst, tag, [values])[0]
 
     p = min(budget.parallelism, hi)
     for tag, clause in inst.pid.spec.clauses.items():
-        if clause.reach(hi) is not None:
-            blocks = ((lo, min(hi, lo + _EVAL_BLOCK)) for lo in range(0, hi, _EVAL_BLOCK))
-            hits = (first_in(tag, table_prefix(c, clause.reach(top)), lo, top) for lo, top in blocks)
-            got = next((s for s in hits if s is not None), None)
-        elif p == 1:
-            got = first_in(tag, eval_all(c), 0, hi)
+        outs = eval_all(c) if clause.whole_table else None
+        if p == 1 or not clause.whole_table:
+            got = first_in(tag, outs, 0, hi)
         else:
-            outs = eval_all(c)
             bounds = [(hi * i // p, hi * (i + 1) // p) for i in range(p)]
             with ThreadPoolExecutor(max_workers=p) as pool:
                 hits = list(pool.map(lambda b: first_in(tag, outs, *b), bounds))

@@ -2,6 +2,7 @@
 budget handling, and the explicit Ramsey construction."""
 
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 import tfnpkit.catalog as catalog_mod
 import tfnpkit.circuit as circuit_mod
-import tfnpkit.solvers as solvers_mod
 from tfnpkit.catalog import SPECS, Value, _collision_pairs, _popcount, _tree_mask
 from tfnpkit.circuit import (MAX_EVAL_WIDTH, Builtin, Compose, ConstOp, Slice, Table, eval_all,
                              identity)
@@ -484,7 +484,7 @@ def test_lazy_solve_is_the_first_row_of_the_full_scan(name, n, monkeypatch):
     # the default block holds every input here; blocks of 3 make the walk resume
     for block in (circuit_mod._EVAL_BLOCK, 3):
         monkeypatch.setattr(circuit_mod, "_EVAL_BLOCK", block)
-        monkeypatch.setattr(solvers_mod, "_EVAL_BLOCK", block)
+        monkeypatch.setattr(catalog_mod, "_EVAL_BLOCK", block)
         for p in (1, 4):
             for inst, want in zip(_lazy_instances(name, n), firsts):
                 got = brute_force_solve(inst, SolveBudget(parallelism=p))
@@ -493,7 +493,10 @@ def test_lazy_solve_is_the_first_row_of_the_full_scan(name, n, monkeypatch):
 
 @pytest.mark.parametrize("name,n", [(name, n) for name, n in LAZY_CASES if any(
     isinstance(c, Value) for c in SPECS[name].clauses.values())])
-def test_value_scan_by_blocks_equals_the_whole_table_mask(name, n):
+def test_value_scan_by_blocks_equals_the_whole_table_mask(name, n, monkeypatch):
+    # the scan and the table fill both step 4 inputs at a time
+    monkeypatch.setattr(circuit_mod, "_EVAL_BLOCK", 4)
+    monkeypatch.setattr(catalog_mod, "_EVAL_BLOCK", 4)
     for inst in _lazy_instances(name, n):
         outs = eval_all(inst.circuit)
         size = len(outs)
@@ -505,9 +508,30 @@ def test_value_scan_by_blocks_equals_the_whole_table_mask(name, n):
                 ok = ok & clause.range.within(inst, np.arange(size)[:, None])
             want = np.flatnonzero(ok).tolist()
             for block in (1, 3, size):
-                got = [x for lo in range(0, size, block)
-                       for (x,) in clause.scan(inst, outs[:lo + block], lo, min(size, lo + block))]
+                fresh, got = _untabled(inst), []
+                for lo in range(0, size, block):
+                    top = min(size, lo + block)
+                    got += [x for (x,) in clause.scan(fresh, None, lo, top)]
+                    if top + 4 <= size:
+                        # the scan stopped before the last block of the table
+                        assert fresh.circuit._table is None
                 assert got == want
+
+
+@pytest.mark.parametrize("name", [name for name, spec in SPECS.items() if not all(
+    c.whole_table for c in spec.clauses.values())])
+def test_a_scan_that_is_not_whole_table_fetches_its_own_outputs(name):
+    # outs=None makes a scan that reads it fail, and a fresh circuit has no
+    # table for it to read by another way
+    spec = SPECS[name]
+    pid, n = ProblemId(name, **spec.params), spec.min_n
+    for inst in designed_instances(pid, n) + [fuzz_instance(pid, n, seed) for seed in range(5)]:
+        hi = 1 << spec.witness_width(n, inst.circuit.in_width)
+        outs = eval_all(inst.circuit)
+        for clause in spec.clauses.values():
+            if not clause.whole_table:
+                want = list(clause.scan(inst, outs, 0, hi))
+                assert list(clause.scan(_untabled(inst), None, 0, hi)) == want
 
 
 def test_solve_stops_at_the_first_block_with_a_hit(monkeypatch):
@@ -570,8 +594,7 @@ def asymmetric_pairs_by_transpose(inst, outs, lo, hi):
 
 def _untabled(inst):
     """inst on a fresh wrapper of its circuit, which has no table yet."""
-    circ = Compose(inst.circuit, identity(inst.circuit.in_width))
-    return ProblemInstance(inst.pid, inst.n, circ, abc=inst.abc)
+    return replace(inst, circuit=Compose(inst.circuit, identity(inst.circuit.in_width)))
 
 
 def _ws_abc(n):

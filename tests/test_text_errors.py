@@ -15,6 +15,12 @@ NETLIST = H + "NETLIST in=1\n"
 PIECES = H + "PIECEWISE\n"
 INST = "PROBLEM pigeon\nPARAM n=1\n"
 INT_X = "invalid literal for int() with base 10: 'x'"
+# a width so large that 1 << width overflows
+HUGE = "99999999999999999999"
+HUGE_TABLE = H + f"TABLE in={HUGE} out=1\n0\n1\n"
+HUGE_BRANCH = f"    NETLIST in={HUGE}\n    g0 = INPUT 0\n    OUTPUT g0\n"
+HUGE_ELSE = PIECES + "  CASE lo=0 hi=1\n    XORC c=1\n  ELSE\n" + HUGE_BRANCH
+HUGE_CASE = PIECES + "  CASE lo=0 hi=1\n" + HUGE_BRANCH + "  ELSE\n    XORC c=1\n"
 
 # (reader, text, message without its line prefix, line or None)
 PARSE_ERRORS = [
@@ -53,6 +59,10 @@ PARSE_ERRORS = [
     ("circuit", PIECES + "  CASE lo=1 hi=0\n    XORC c=1\n  ELSE\n    XORC c=0\n",
      "case range [1, 0) bad for width 1", 2),
     ("circuit", PIECES + "  CASE lo=0 hi=1 z\n    XORC c=1\n  ELSE\n    XORC c=0\n", "bad attribute 'z'", 3),
+    ("circuit", HUGE_TABLE, f"table in_width {HUGE} beyond cap 20", 2),
+    ("circuit", H + f"PAD bits=0\n  TABLE in={HUGE} out=1\n", f"table in_width {HUGE} beyond cap 20", 3),
+    ("circuit", HUGE_ELSE, "width too large to build this node", 2),
+    ("circuit", HUGE_CASE, "width too large to build this node", 2),
     ("circuit", H + "XORC c=1\nXORC c=0\n", "trailing content after circuit", 3),
     ("circuit", H + "XORC c=11\n", "header says 1->1 but node is 2->2", 1),
     ("circuit", "CIRCUIT in=1 out=2\nXORC c=1\n", "header says 1->2 but node is 1->1", 1),
@@ -119,6 +129,20 @@ def test_bad_gate_line_is_a_parse_error(gate, message, tmp_path, capsys):
     assert main(["solve", "--inst", str(inst)]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error [solve]: line 6: {message}\n"
+
+
+@pytest.mark.parametrize("circuit, line, message", [
+    (HUGE_TABLE, 4, f"table in_width {HUGE} beyond cap 20"),
+    (HUGE_ELSE, 4, "width too large to build this node"),
+])
+def test_huge_width_exits_2_with_its_line(circuit, line, message, tmp_path, capsys):
+    inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
+    inst.write_text(INST + circuit)
+    sol.write_text("SOLUTION type=i\nWITNESS x=0\n")
+    assert main(["solve", "--inst", str(inst)]) == 2
+    assert main(["verify", "--inst", str(inst), "--sol", str(sol)]) == 2
+    err = capsys.readouterr().err
+    assert err == "".join(f"parse error [{cmd}]: line {line}: {message}\n" for cmd in ("solve", "verify"))
 
 
 def test_netlist_reads_what_it_prints():
