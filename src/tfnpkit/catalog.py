@@ -14,7 +14,9 @@ in [lo, hi), in canonical order.  ``Clause.whole_table`` says whether a
 scan reads the whole table from ``outs``:
 
 - ``Pair``, ``Collision``, ``Clique``, ``Triangle`` and ``Twins`` do, and
-  their caller tabulates the circuit first;
+  their caller tabulates the circuit first.  ``Collision`` and ``Twins``
+  share one group-by, ``_collision_pairs``: matching triangles are a
+  collision of the map from a vertex triple to its color profile;
 - ``Value``, ``Pinned`` and ``Asymmetric`` do not.  They ignore ``outs``
   and fetch what they read: ``Value`` the table one block of first
   witnesses at a time through ``table_prefix``, so a scan that stops early
@@ -148,7 +150,8 @@ def _tree_mask(n: int, outs: np.ndarray) -> np.ndarray:
 
 def _collision_pairs(outs: np.ndarray, lo: int, hi: int,
                      first_ok=None, second_ok=None) -> Iterator[tuple[int, int]]:
-    """Ordered pairs (x, y), x != y, outs[x] == outs[y], ascending (x, y).
+    """Ordered pairs (x, y), x != y, outs[x] == outs[y], ascending (x, y), for
+    any int key array outs: an output table, or ``Twins``' color profiles.
 
     The values are sorted once, in the narrowest dtype that holds them, and
     the ones held more than once are looked up for the first witnesses block
@@ -176,6 +179,8 @@ def _collision_pairs(outs: np.ndarray, lo: int, hi: int,
         for x in xs.tolist():
             key = int(outs[x])
             if key not in groups:
+                # one pass per key: a stable argsort gives mates as slices but took 25x
+                # this sort on a 2**21-entry weak_pigeon table, an unstable one 8x
                 mates = np.flatnonzero(outs == key)
                 groups[key] = mates if second_ok is None else mates[second_ok[mates]]
             for y in groups[key].tolist():
@@ -296,13 +301,12 @@ MAX_TRIPLES = 1 << 20
 
 
 def _distinct_triples(v_count: int) -> np.ndarray:
+    """The v(v-1)(v-2) ordered triples of distinct vertices, lexicographic."""
     count = v_count * (v_count - 1) * (v_count - 2)
     if count > MAX_TRIPLES:
         raise CapabilityError(
             f"{count} vertex triples on {v_count} vertices exceed the scan cap {MAX_TRIPLES}")
-    ids = np.arange(v_count)
-    x, y, z = np.meshgrid(ids, ids, ids, indexing="ij")
-    flat = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    flat = np.indices((v_count,) * 3).reshape(3, -1).T
     keep = (flat[:, 0] != flat[:, 1]) & (flat[:, 0] != flat[:, 2]) & (flat[:, 1] != flat[:, 2])
     return flat[keep]
 
@@ -638,7 +642,8 @@ class Triangle(Clause):
 @dataclass(eq=False)
 class Twins(Clause):
     """Two vertex triples, distinct as sets, whose edges match in color
-    position by position; the first triangle trichromatic when ``colorful``."""
+    position by position (a collision of their color profiles, scanned by
+    ``_collision_pairs``); the first triangle trichromatic when ``colorful``."""
 
     colorful: bool
     witnesses = ("x", "y", "z", "x2", "y2", "z2")
@@ -667,30 +672,15 @@ class Twins(Clause):
         m = _color_matrix(inst, outs)
         v_count = len(m)
         triples = _distinct_triples(v_count)
-        c1 = m[triples[:, 0], triples[:, 1]]
-        c2 = m[triples[:, 0], triples[:, 2]]
-        c3 = m[triples[:, 1], triples[:, 2]]
+        x, y, z = triples.T
+        c1, c2, c3 = m[x, y], m[x, z], m[y, z]
         key = (c1.astype(np.int64) * v_count + c2) * v_count + c3
-        order = np.lexsort((triples[:, 2], triples[:, 1], triples[:, 0]))
-        groups: dict[int, np.ndarray] = {}
-        sets = np.sort(triples, axis=1)
-        tri_ok = np.ones(len(triples), dtype=bool)
-        if self.colorful:
-            tri_ok = (c1 != c2) & (c1 != c3) & (c2 != c3)
-        for t1 in order:
-            t1 = int(t1)
-            if not (lo <= triples[t1, 0] < hi) or not tri_ok[t1]:
-                continue
-            kk = int(key[t1])
-            if kk not in groups:
-                members = np.flatnonzero(key == kk)
-                members = members[np.lexsort((triples[members, 2], triples[members, 1],
-                                              triples[members, 0]))]
-                groups[kk] = members
-            first = tuple(triples[t1].tolist())
-            for t2 in groups[kk]:
-                if (sets[t1] != sets[t2]).any():
-                    yield first + tuple(triples[t2].tolist())
+        sets = np.sort(triples, axis=1) @ [v_count * v_count, v_count, 1]
+        first_ok = (c1 != c2) & (c1 != c3) & (c2 != c3) if self.colorful else None
+        start, stop = np.searchsorted(x, [lo, hi]).tolist()
+        for t1, t2 in _collision_pairs(key, start, stop, first_ok):
+            if sets[t1] != sets[t2]:
+                yield (*triples[t1].tolist(), *triples[t2].tolist())
 
     def check_many(self, inst, rows):
         first, second = rows[:, :3], rows[:, 3:]

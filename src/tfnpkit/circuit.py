@@ -61,6 +61,7 @@ from .numerics import BitString, bits_of
 MAX_TABLE_WIDTH = 20
 MAX_EVAL_WIDTH = 22
 MAX_VECTOR_WIDTH = 62  # apply_many packs values into int64
+MAX_RANGE_WIDTH = 1 << 24  # widest PIECEWISE or GUARD input: 2**width is 2 MB
 # eval_all inputs per apply_many call: 2**16 keeps a GateNet bit-plane at
 # 64 KB and an int64 intermediate at 512 KB, about the size of an L2 cache
 _EVAL_BLOCK = 1 << 16
@@ -73,6 +74,13 @@ _EVAL_BLOCK = 1 << 16
 # for chained reductions and keeps the recursive parser and evaluators far
 # from Python's recursion limit.
 MAX_PARSE_DEPTH = 100
+
+
+def _span(width: int) -> int:
+    """2**width, or an OverflowError (a parse error) past MAX_RANGE_WIDTH."""
+    if width > MAX_RANGE_WIDTH:
+        raise OverflowError(f"width {width} beyond cap {MAX_RANGE_WIDTH}")
+    return 1 << width
 
 
 def _mask_array(xs, width):
@@ -468,7 +476,7 @@ class GuardPrefix(Circuit):
     def __init__(self, inner: Circuit, t: int):
         if inner.in_width != inner.out_width:
             raise DomainError("guard inner circuit must preserve width")
-        if not 0 <= t <= (1 << inner.in_width):
+        if not 0 <= t <= _span(inner.in_width):
             raise DomainError(f"guard threshold {t} beyond width {inner.in_width}")
         self.inner = inner
         self.t = t
@@ -556,13 +564,13 @@ class Piecewise(Circuit):
             if c.branch.in_width != w or c.branch.out_width != o:
                 raise DomainError("piecewise branches must share widths")
             if c.is_range:
-                if not 0 <= c.lo <= c.hi <= (1 << w):
+                if not 0 <= c.lo <= c.hi <= _span(w):
                     raise DomainError(f"case range [{c.lo}, {c.hi}) bad for width {w}")
             else:
                 if c.pred.in_width != w or c.pred.out_width != 1:
                     raise DomainError("predicate must map the input to one bit")
         last = cases[-1]
-        if not (last.is_range and last.lo == 0 and last.hi == (1 << w)):
+        if not (last.is_range and last.lo == 0 and last.hi == _span(w)):
             raise DomainError("last piecewise case must cover the full range")
         self.cases = cases
         self.in_width = w
@@ -1040,7 +1048,7 @@ class _Parser:
                 elif kw == "ELSE":
                     self.take()
                     branch = self.parse_node(kid + 2)
-                    cases.append(Case(branch, lo=0, hi=1 << branch.in_width))
+                    cases.append(Case(branch, lo=0, hi=_span(branch.in_width)))
                     return Piecewise(cases)
                 else:
                     raise ParseError(f"unexpected {kw!r} inside PIECEWISE", item[0])

@@ -31,6 +31,7 @@ from .problems import (
     ProblemId,
     ProblemInstance,
     Solution,
+    _content_lines,
     circuit_shape,
     gen_random_instance,
     honest_turan_params,
@@ -448,7 +449,7 @@ def coloring_to_text(c: ColoringMatrix) -> str:
 def coloring_from_text(text: str) -> ColoringMatrix:
     """Read ``coloring_to_text``'s format; blank lines are skipped, and errors
     give the line number in the text."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [(no, ln) for no, _, ln in _content_lines(text)]
     if not lines:
         raise ParseError("empty coloring file", 1)
     first_no, first = lines[0]

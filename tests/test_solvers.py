@@ -3,14 +3,15 @@ budget handling, and the explicit Ramsey construction."""
 
 import time
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 import pytest
 
 import tfnpkit.catalog as catalog_mod
 import tfnpkit.circuit as circuit_mod
-from tfnpkit.catalog import SPECS, Value, _collision_pairs, _popcount, _tree_mask
+from tfnpkit.catalog import (SPECS, Value, _collision_pairs, _distinct_triples, _popcount,
+                             _tree_mask)
 from tfnpkit.circuit import (MAX_EVAL_WIDTH, Builtin, Compose, ConstOp, Slice, Table, eval_all,
                              identity)
 from tfnpkit.encodings import is_spanning_tree
@@ -248,6 +249,60 @@ def test_collision_pairs_in_small_blocks_match_the_inverse_scan(monkeypatch, fir
             got = list(_collision_pairs(outs, lo, hi, first_ok, second_ok))
             assert got == list(collision_pairs_by_inverse(outs, lo, hi, first_ok, second_ok)), \
                 (label, lo, hi)
+
+
+def twin_matches_by_brute_force(inst, outs, colorful):
+    """The vertex triples in lexicographic order, and a bool matrix that holds
+    at (i, j) when triples i and j are distinct as sets and match in color
+    position by position, triple i trichromatic when colorful: the reference
+    for Twins.scan, whose rows are the matrix's true cells in row-major
+    order."""
+    v_count = 1 << (2 * inst.n)
+    m = outs.reshape(v_count, v_count)
+    t = np.array(list(permutations(range(v_count), 3)))
+    colors = [m[t[:, 0], t[:, 1]], m[t[:, 0], t[:, 2]], m[t[:, 1], t[:, 2]]]
+    sets = np.sort(t, axis=1) @ [v_count * v_count, v_count, 1]
+    match = sets[:, None] != sets[None, :]
+    for c in colors:
+        match &= c[:, None] == c[None, :]
+    if colorful:
+        c1, c2, c3 = colors
+        match &= ((c1 != c2) & (c1 != c3) & (c2 != c3))[:, None]
+    return t, match
+
+
+def twin_rows(t, match, lo, hi, cap):
+    """The first cap rows of the matrix whose first vertex lies in [lo, hi)."""
+    rows = []
+    for i in np.flatnonzero((t[:, 0] >= lo) & (t[:, 0] < hi)):
+        rows += [(*t[i].tolist(), *t[j].tolist()) for j in np.flatnonzero(match[i])]
+        if cap is not None and len(rows) >= cap:
+            break
+    return rows[:cap]
+
+
+def test_distinct_triples_are_lexicographic():
+    for v_count in (3, 4, 16):
+        triples = _distinct_triples(v_count)
+        assert len(triples) == v_count * (v_count - 1) * (v_count - 2)
+        assert triples.tolist() == [list(p) for p in permutations(range(v_count), 3)]
+
+
+@pytest.mark.parametrize("name", ["ws_collisions", "ws_colorful"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_twin_scan_matches_the_brute_force(name, n):
+    pid = ProblemId(name)
+    clause = SPECS[name].clauses["iv"]
+    v_count = 1 << (2 * n)
+    cuts = [(0, v_count), (1, v_count - 1), (v_count // 2, v_count), (1, 1)]
+    caps = [None] if n == 1 else [200, 2000]
+    for inst in [*designed_instances(pid, n), *(fuzz_instance(pid, n, s) for s in range(10))]:
+        outs = eval_all(inst.circuit)
+        t, match = twin_matches_by_brute_force(inst, outs, clause.colorful)
+        for lo, hi in cuts:
+            for cap in caps:
+                got = list(islice(clause.scan(inst, outs, lo, hi), cap))
+                assert got == twin_rows(t, match, lo, hi, cap), (lo, hi, cap)
 
 
 def test_popcount_matches_bin_count():

@@ -18,9 +18,30 @@ INT_X = "invalid literal for int() with base 10: 'x'"
 # a width so large that 1 << width overflows
 HUGE = "99999999999999999999"
 HUGE_TABLE = H + f"TABLE in={HUGE} out=1\n0\n1\n"
-HUGE_BRANCH = f"    NETLIST in={HUGE}\n    g0 = INPUT 0\n    OUTPUT g0\n"
-HUGE_ELSE = PIECES + "  CASE lo=0 hi=1\n    XORC c=1\n  ELSE\n" + HUGE_BRANCH
-HUGE_CASE = PIECES + "  CASE lo=0 hi=1\n" + HUGE_BRANCH + "  ELSE\n    XORC c=1\n"
+
+
+def wide_branch(width):
+    return f"    NETLIST in={width}\n    g0 = INPUT 0\n    OUTPUT g0\n"
+
+
+def wide_else(width):
+    return PIECES + "  CASE lo=0 hi=1\n    XORC c=1\n  ELSE\n" + wide_branch(width)
+
+
+def wide_case(width):
+    return PIECES + "  CASE lo=0 hi=1\n" + wide_branch(width) + "  ELSE\n    XORC c=1\n"
+
+
+def wide_guard(width):
+    # the pad makes the guarded node width -> width, as GUARD requires
+    return H + f"GUARD t=0\n  PAD bits={width - 1}\n" + wide_branch(width)
+
+
+HUGE_ELSE = wide_else(HUGE)
+HUGE_CASE = wide_case(HUGE)
+# widths that 1 << width does not overflow but would take 10**17 or 10**9 bytes
+WIDE_NODES = [wide(width) for wide in (wide_else, wide_case, wide_guard)
+              for width in (10**18, 10**10)]
 
 # (reader, text, message without its line prefix, line or None)
 PARSE_ERRORS = [
@@ -63,6 +84,7 @@ PARSE_ERRORS = [
     ("circuit", H + f"PAD bits=0\n  TABLE in={HUGE} out=1\n", f"table in_width {HUGE} beyond cap 20", 3),
     ("circuit", HUGE_ELSE, "width too large to build this node", 2),
     ("circuit", HUGE_CASE, "width too large to build this node", 2),
+    *[("circuit", text, "width too large to build this node", 2) for text in WIDE_NODES],
     ("circuit", H + "XORC c=1\nXORC c=0\n", "trailing content after circuit", 3),
     ("circuit", H + "XORC c=11\n", "header says 1->1 but node is 2->2", 1),
     ("circuit", "CIRCUIT in=1 out=2\nXORC c=1\n", "header says 1->2 but node is 1->1", 1),
@@ -134,6 +156,7 @@ def test_bad_gate_line_is_a_parse_error(gate, message, tmp_path, capsys):
 @pytest.mark.parametrize("circuit, line, message", [
     (HUGE_TABLE, 4, f"table in_width {HUGE} beyond cap 20"),
     (HUGE_ELSE, 4, "width too large to build this node"),
+    *[(text, 4, "width too large to build this node") for text in WIDE_NODES],
 ])
 def test_huge_width_exits_2_with_its_line(circuit, line, message, tmp_path, capsys):
     inst, sol = tmp_path / "inst.txt", tmp_path / "sol.txt"
