@@ -23,9 +23,10 @@ index that table when the circuit has one, and otherwise run the scalar
 interpreter ``_eval_value``, memoized per circuit.  Their array form
 ``values_at`` indexes the table too, and otherwise runs ``apply_many`` on
 just the points asked for, never tabulating the circuit.  A ``GateNet``
-evaluates on bit-planes: one uint8 array per gate (64 KB for an ``eval_all``
-block rather than 512 KB), with inputs and outputs held in the narrowest
-unsigned dtype until the int64 result is formed.  A ``Table`` keeps its rows
+evaluates on whole words: its output bits that are XORs of input bits and
+constants come out as one mask and one shift per distinct bit offset, and only
+the gates that AND/OR reach become uint8 bit-planes (64 KB for an ``eval_all``
+block rather than 512 KB).  A ``Table`` keeps its rows
 as one read-only int64 array, which is also its ``eval_all`` table; rows
 wider than 62 bits stay a tuple of exact Python ints.
 
@@ -62,8 +63,9 @@ MAX_TABLE_WIDTH = 20
 MAX_EVAL_WIDTH = 22
 MAX_VECTOR_WIDTH = 62  # apply_many packs values into int64
 MAX_RANGE_WIDTH = 1 << 24  # widest PIECEWISE or GUARD input: 2**width is 2 MB
-# eval_all inputs per apply_many call: 2**16 keeps a GateNet bit-plane at
-# 64 KB and an int64 intermediate at 512 KB, about the size of an L2 cache
+# eval_all inputs per apply_many call: 2**16 keeps an int64 intermediate (a
+# GateNet word term) at 512 KB, about the size of an L2 cache, and a GateNet
+# bit-plane at 64 KB
 _EVAL_BLOCK = 1 << 16
 
 # Deepest nesting a circuit may have, counted in nodes from the root to the
@@ -260,6 +262,7 @@ class GateNet(Circuit):
 
     # op -> how many earlier gates it reads; INPUT and CONST read a number instead
     _ARITY = {"INPUT": 0, "CONST": 0, "NOT": 1, "AND": 2, "OR": 2, "XOR": 2}
+    _plan: tuple | None = None  # set by _word_plan on the first _apply_many
 
     def __init__(self, in_width: int, gates: Sequence[Gate], outputs: Sequence[int]):
         gates = tuple(gates)
@@ -306,32 +309,89 @@ class GateNet(Circuit):
             out = (out << 1) | vals[o]
         return out
 
+    def _word_plan(self):
+        """(const, terms, steps, feeds): the plan ``_apply_many`` runs, built
+        on its first call and kept on the net.
+
+        A gate is affine when its bit is a parity of input bits plus a
+        constant: INPUT, CONST, and NOT or XOR of affine gates.  It is held as
+        (mask of input bit positions, constant bit).  Affine output bits are
+        grouped by offset d = output position - input position, so together
+        they are ``const ^ XOR_d shift(xs & M_d, d)`` over the (d, M_d)
+        terms.  The steps are the other gates that outputs read, in gate
+        order, with their affine operands: uint8 planes, an affine one made
+        as the parity of its masked input bits.  Feeds place the step gates
+        that are outputs at their output positions.
+        """
+        if self._plan is None:
+            w = self.in_width
+            forms: list[tuple[int, int] | None] = []  # None: not affine
+            for g in self.gates:
+                if g.op == "INPUT":
+                    f = (1 << (w - 1 - g.a), 0)
+                elif g.op == "CONST":
+                    f = (0, g.a)
+                elif g.op == "NOT" and forms[g.a]:
+                    f = (forms[g.a][0], forms[g.a][1] ^ 1)
+                elif g.op == "XOR" and forms[g.a] and forms[g.b]:
+                    f = (forms[g.a][0] ^ forms[g.b][0], forms[g.a][1] ^ forms[g.b][1])
+                else:
+                    f = None
+                forms.append(f)
+            const, masks, feeds = 0, {}, []
+            need = [False] * len(self.gates)
+            for k, o in enumerate(self.outputs):
+                q = self.out_width - 1 - k
+                if forms[o] is None:
+                    feeds.append((o, q))
+                    need[o] = True
+                    continue
+                m, c = forms[o]
+                const |= c << q
+                for p in range(m.bit_length()):
+                    if m >> p & 1:
+                        masks[q - p] = masks.get(q - p, 0) | 1 << p
+            for i in reversed(range(len(self.gates))):
+                g = self.gates[i]
+                if need[i] and forms[i] is None:
+                    for ref in (g.a, g.b)[:self._ARITY[g.op]]:
+                        need[ref] = True
+            steps = [(i, self.gates[i], forms[i]) for i in range(len(self.gates)) if need[i]]
+            self._plan = (const, list(masks.items()), steps, feeds)
+        return self._plan
+
     def _apply_many(self, xs):
-        # one uint8 bit-plane per gate, and inputs and outputs in the narrowest
-        # unsigned dtype that holds them: in an eval_all block a gate takes 64 KB
-        w = self.in_width
-        one = np.uint8(1)
-        xu = xs.astype(np.min_scalar_type((1 << w) - 1))
-        shift = xu.dtype.type
-        vals: list[np.ndarray] = []
-        for g in self.gates:
-            if g.op == "INPUT":
-                vals.append((xu >> shift(w - 1 - g.a)).astype(np.uint8) & one)
-            elif g.op == "CONST":
-                vals.append(np.full(xs.shape, g.a, dtype=np.uint8))
-            elif g.op == "NOT":
-                vals.append(vals[g.a] ^ one)
-            elif g.op == "AND":
-                vals.append(vals[g.a] & vals[g.b])
-            elif g.op == "OR":
-                vals.append(vals[g.a] | vals[g.b])
+        if max(self.in_width, self.out_width) > MAX_VECTOR_WIDTH:
+            raise DomainError(f"netlist wider than vector limit {MAX_VECTOR_WIDTH}")
+        const, terms, steps, feeds = self._word_plan()
+        out = None  # the first term's array becomes the output
+        for d, m in terms:
+            t = xs & np.int64(m)
+            if d >= 0:
+                t <<= d
             else:
-                vals.append(vals[g.a] ^ vals[g.b])
-        out = np.zeros(xs.shape, dtype=np.min_scalar_type((1 << self.out_width) - 1))
-        for o in self.outputs:
-            out <<= 1
-            out |= vals[o]
-        return out.astype(np.int64)
+                t >>= -d
+            out = t if out is None else np.bitwise_xor(out, t, out=out)
+        if out is None:
+            out = np.full(xs.shape, const, dtype=np.int64)
+        elif const:
+            out ^= const
+        one = np.uint8(1)
+        vals: dict[int, np.ndarray] = {}
+        for i, g, form in steps:
+            if form is not None:
+                vals[i] = (np.bitwise_count(xs & np.int64(form[0])) & one) ^ np.uint8(form[1])
+            elif g.op == "NOT":
+                vals[i] = vals[g.a] ^ one
+            elif g.op == "AND":
+                vals[i] = vals[g.a] & vals[g.b]
+            elif g.op == "OR":
+                vals[i] = vals[g.a] | vals[g.b]
+            else:
+                vals[i] = vals[g.a] ^ vals[g.b]
+        for i, q in feeds:
+            out |= vals[i].astype(np.int64) << q
+        return out
 
 
 class Builtin(Circuit):

@@ -268,6 +268,74 @@ def test_gatenet_bit_planes_match_scalar_interpreter():
     sample = [0, (1 << 22) - 1] + np.random.default_rng(0).integers(0, 1 << 22, 4096).tolist()
     table = eval_all(fold)
     assert [int(table[v]) for v in sample] == [fold._eval_value(v) for v in sample]
+    # seeded random nets: every point up to 16 inputs, a sample at 40 and 62
+    rng = np.random.default_rng(23)
+    plans = []
+    for w, nets in ((0, 3), (1, 3), (2, 3), (5, 3), (9, 3), (12, 2), (16, 1), (40, 4), (62, 4)):
+        for _ in range(nets):
+            net = random_netlist(rng, w, 70)
+            if w <= 16:
+                points = np.arange(1 << w)
+                got = eval_all(net)
+            else:
+                points = np.concatenate([[0, (1 << w) - 1], rng.integers(0, 1 << w, 2000)])
+                got = apply_many(net, points)
+            assert got.tolist() == [net._eval_value(int(v)) for v in points], (w, net.gates, net.outputs)
+            plans.append(net._plan)
+    # the nets exercise both shift directions, constants, and planes fed by
+    # affine operands with and without a constant bit
+    assert {d > 0 for _, terms, _, _ in plans for d, _ in terms} == {False, True}
+    assert any(const for const, *_ in plans)
+    assert {form[1] for _, _, steps, _ in plans for _, _, form in steps if form} == {0, 1}
+    # a 3,000-gate AND chain and XOR chain: plans are built without recursion
+    for op in ("AND", "XOR"):
+        chain = GateNet(2, [Gate("INPUT", 0), Gate("INPUT", 1)]
+                        + [Gate(op, i - 1, i % 2) for i in range(2, 3000)], [2999, 1500, 0])
+        assert eval_all(chain).tolist() == [chain._eval_value(v) for v in range(4)]
+
+
+def test_word_plan_term_counts():
+    # (d, M_d) terms, and planes: the fold is two shifts, duplicate one per
+    # copy, identity one, a constant none and no plane
+    counts = [(len(terms), len(steps)) for _, terms, steps, _ in (
+        c._word_plan() for c in (_fold_circuit(22, 16), duplicate(16, 3), identity(7),
+                                 const_circuit(B("1011"), in_width=3)))]
+    assert counts == [(2, 0), (3, 0), (1, 0), (0, 0)]
+    # the plan waits for the first vector evaluation, then stays on the net
+    fold = _fold_circuit(22, 16)
+    assert fold._plan is None
+    apply_many(fold, [5])
+    assert fold._plan is fold._word_plan()
+
+
+GATE_OPS = tuple(GateNet._ARITY)
+
+
+def random_netlist(rng, w, size):
+    """A seeded random GateNet on w inputs (no INPUT gate when w is 0) that
+    mixes all six ops and holds the cases the word plan tells apart: a plane
+    XOR-ed with an affine gate in both orders, NOT of AND, a repeated input
+    cancelled by XOR, and outputs that repeat, are constant and come out of
+    gate order."""
+    x = Gate("INPUT", int(rng.integers(w))) if w else Gate("CONST", 1)
+    # gate 5 is x XOR x, the same input read twice
+    gates = [Gate("CONST", 0), Gate("CONST", 1), x, Gate("NOT", 2), x, Gate("XOR", 2, 4)]
+    while len(gates) < size:
+        op = str(rng.choice(GATE_OPS))
+        a, b = (int(r) for r in rng.integers(0, len(gates), 2))
+        if op == "INPUT" and w:
+            gates.append(Gate(op, int(rng.integers(w))))
+        elif op in ("INPUT", "CONST"):
+            gates.append(Gate("CONST", a % 2))
+        else:
+            gates.append(Gate(op, a, b if GateNet._ARITY[op] == 2 else 0))
+    p = len(gates)
+    a, b = (int(r) for r in rng.integers(0, p, 2))
+    gates += [Gate("AND", a, b), Gate("XOR", p, 3), Gate("XOR", 3, p), Gate("NOT", p),
+              Gate("OR", p + 3, p + 1)]
+    outs = rng.integers(0, len(gates), int(rng.integers(1, 50))).tolist()
+    outs += [0, 1, 5, p + 1, p + 2, p + 3, p + 4, p + 1, 1]
+    return GateNet(w, gates, outs)
 
 
 def test_eval_all_table_is_cached_and_read_only():

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tfnpkit.circuit import Table, eval_all
+from tfnpkit.circuit import GateNet, Table, apply_many, eval_all
 from tfnpkit.errors import CapabilityError, DomainError, IntegrityError
 from tfnpkit.numerics import bits_of
 from tfnpkit.problems import (
@@ -108,6 +108,32 @@ def test_target_table_agrees_with_scalar_interpreter(idx):
             points = np.random.Generator(np.random.PCG64(idx)).integers(0, 1 << w, size=4096)
         want = [circ._eval_value(int(v)) for v in points]
         assert eval_all(circ)[points].tolist() == want
+
+
+def _gatenets(c):
+    found, stack = [], [c]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, GateNet):
+            found.append(c)
+        stack.extend(c._children())
+    return found
+
+
+@pytest.mark.parametrize("idx", range(1, 28))
+def test_target_gatenets_agree_with_scalar_interpreter(idx):
+    """apply_many's word plan and planes against the scalar interpreter on
+    every GateNet inside the targets: every point up to 16 input bits, a
+    fixed sample beyond."""
+    red = build_entry(idx)
+    sources = designed_instances(red.source, red.source_n) + [fuzz_instance(red.source, red.source_n, 0)]
+    nets = {net: None for inst in sources for net in _gatenets(apply(red, inst).circuit)}
+    assert nets
+    rng = np.random.Generator(np.random.PCG64(idx))
+    for net in nets:
+        w = net.in_width
+        points = np.arange(1 << w) if w <= 16 else rng.integers(0, 1 << w, size=4096)
+        assert apply_many(net, points).tolist() == [net._eval_value(int(v)) for v in points]
 
 
 def test_apply_is_deterministic_and_wellformed():

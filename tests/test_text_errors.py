@@ -4,9 +4,9 @@ line."""
 
 import pytest
 
-from tfnpkit.circuit import from_text, to_text
+from tfnpkit.circuit import apply_many, from_text, to_text
 from tfnpkit.cli import main
-from tfnpkit.errors import ParseError
+from tfnpkit.errors import DomainError, ParseError
 from tfnpkit.problems import instance_from_text, solution_from_text
 
 READERS = {"circuit": from_text, "instance": instance_from_text, "solution": solution_from_text}
@@ -42,6 +42,22 @@ HUGE_CASE = wide_case(HUGE)
 # widths that 1 << width does not overflow but would take 10**17 or 10**9 bytes
 WIDE_NODES = [wide(width) for wide in (wide_else, wide_case, wide_guard)
               for width in (10**18, 10**10)]
+
+
+
+def wide_netlist(start):
+    """Output bit ``start`` of a 75-output NETLIST: x when start is even, NOT x
+    when it is odd.  A valid circuit whose inner node is too wide to vector
+    evaluate."""
+    outs = " ".join(["g0", "g1"] * 37 + ["g0"])
+    return H + f"SLICE start={start} stop={start + 1}\n  NETLIST in=1\n  g0 = INPUT 0\n" \
+        f"  g1 = NOT g0\n  OUTPUT {outs}\n"
+
+
+# (slice start, which input value the pigeon type-i witness is): start 0
+# keeps the top bit, 11 the bit at 2**63 and 74 the bottom one
+WIDE_NETLISTS = [(0, 0), (11, 1), (12, 0), (74, 0)]
+WIDE_MESSAGE = "netlist wider than vector limit 62"
 
 # (reader, text, message without its line prefix, line or None)
 PARSE_ERRORS = [
@@ -184,3 +200,27 @@ def test_bad_case_range_is_reported_at_its_case_line(case, message):
     with pytest.raises(ParseError) as e:
         from_text(text)
     assert (str(e.value), e.value.line) == (f"line 5: {message}", 5)
+
+
+@pytest.mark.parametrize("start, zero_at", WIDE_NETLISTS)
+def test_over_wide_netlist_refuses_vector_evaluation(start, zero_at):
+    c = from_text(wide_netlist(start))
+    assert [c._eval_value(v) for v in (0, 1)] == [zero_at, 1 - zero_at]
+    with pytest.raises(DomainError) as e:
+        apply_many(c, [0, 1])
+    assert str(e.value) == WIDE_MESSAGE
+
+
+@pytest.mark.parametrize("start, zero_at", WIDE_NETLISTS)
+def test_over_wide_netlist_exits_2_on_solve_and_verifies_exactly(start, zero_at, tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(INST + wide_netlist(start))
+    assert main(["solve", "--inst", str(inst)]) == 2
+    assert capsys.readouterr().err == f"error [solve]: {WIDE_MESSAGE}\n"
+    for x, code in ((zero_at, 0), (1 - zero_at, 1)):
+        sol = tmp_path / f"sol{x}.txt"
+        sol.write_text(f"SOLUTION type=i\nWITNESS x={x}\n")
+        assert main(["verify", "--inst", str(inst), "--sol", str(sol)]) == code
+    out = capsys.readouterr().out
+    assert out.splitlines()[::2] == ["accepted: type i",
+                                     "rejected: type i: output is not the all-zero string"]
